@@ -6,7 +6,7 @@
 //! and `epoch`), the redo appends inside the flush window, the
 //! `cluster.replicate` send, the follower's `cluster.delta_arrive` and
 //! `sendrecv.recv` (which carries the origin node and virtual send time
-//! from the v2 stream header), the leader's `cluster.ack` receipt, the
+//! from the stream header), the leader's `cluster.ack` receipt, the
 //! first `cluster.quorum_watermark` covering the epoch, and finally
 //! `extsync.release`. [`Cluster::epoch_graph`] collects those records
 //! and links them into a [`CausalGraph`] whose critical path attributes
@@ -33,7 +33,7 @@ fn arg(ev: &TraceEvent, key: &str) -> Option<u64> {
 impl Cluster {
     /// Turns on provenance collection: every node records into its own
     /// trace ring (sharing the cluster clock) and learns its node id
-    /// (carried in the v2 delta-stream header), and a flight recorder
+    /// (carried in the stream header), and a flight recorder
     /// of `flight_cap` epoch graphs is installed — on the cluster (fed
     /// as the quorum watermark advances) and on the leader SLS (dumped
     /// by `crash_and_reboot`). Returns a handle to the recorder.

@@ -262,7 +262,7 @@ pub struct Sls {
     /// reports the defaults — a cluster of one, zero lag.
     pub(crate) cluster_gauges: HashMap<String, u64>,
     /// This node's identity in a cluster (0 standalone / leader). Rides
-    /// in the v2 delta-stream header so a receiver can attribute the
+    /// in the stream header so a receiver can attribute the
     /// frame to its origin in the cross-node causal graph.
     pub(crate) node_id: u64,
     /// The installed flight recorder, if any: `crash_and_reboot` (and,

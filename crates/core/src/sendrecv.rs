@@ -4,24 +4,25 @@
 
 use crate::restore::{RestoreMode, RestoreReport};
 use crate::{Sls, SlsError};
-use aurora_objstore::{ObjectKind, Oid, RedoWrite, PAGE};
-use aurora_sim::codec::{Decoder, Encoder};
+use aurora_objstore::{ObjectKind, ObjectStore, Oid, RedoWrite, PAGE};
+use aurora_sim::codec::{CodecError, Decoder, Encoder};
 use aurora_sim::fnv1a;
 
 const STREAM_TAG: u16 = 0x5354;
 
-/// Stream format version. v1 carries full page images; v2 delta streams
-/// carry per-page redo records (offset/payload/page-checksum), so a
-/// sealed epoch travels as exactly the records the leader logged —
-/// delta compression on the wire. Receivers accept both.
+/// Stream format version — the only one receivers read. A stream is a
+/// header record (source epoch, object count, and the provenance context:
+/// origin node id and virtual send time), then one length-prefixed body
+/// per changed object (kind, metadata, and per-page redo records with
+/// offset, payload and materialized-page checksum), then an FNV-1a
+/// checksum of every byte before it. A full image is the delta from
+/// epoch 0.
 ///
-/// The v2 header additionally carries a trailing **provenance context**
-/// — the origin node id and the virtual send time — so a receiver can
-/// attribute the frame to its origin hop in the cross-node causal
-/// graph. The context rides *after* the original header fields inside
-/// the length-prefixed record body, so decoders that predate it (and
-/// streams that omit it) remain mutually compatible.
-const STREAM_VERSION: u16 = 2;
+/// The trailing checksum covers what the per-record page checksums do
+/// not (header, counts, oids, kinds, metadata, page indices) and is
+/// verified before anything is staged. The page checksums stay: they
+/// catch a receiver whose base has diverged from the sender's.
+const STREAM_VERSION: u16 = 3;
 
 /// What a delta stream carried — the replication/migration layers size
 /// rounds and convergence checks on these.
@@ -33,7 +34,7 @@ pub struct DeltaStats {
     pub objects: u64,
     /// Pages carried.
     pub pages: u64,
-    /// Encoded stream length.
+    /// Encoded stream length, trailing checksum included.
     pub bytes: u64,
 }
 
@@ -44,10 +45,9 @@ pub struct ApplyReport {
     pub manifests: Vec<Oid>,
     /// The source-side epoch stamped in the stream header.
     pub src_epoch: u64,
-    /// Origin node id from the v2 header's provenance context (0 for v1
-    /// streams and v2 streams that predate the context).
+    /// Origin node id from the header's provenance context.
     pub src_node: u64,
-    /// Virtual time the origin encoded the stream (0 when absent).
+    /// Virtual time the origin encoded the stream.
     pub sent_at: u64,
     /// The local epoch the apply committed as.
     pub local_epoch: u64,
@@ -59,47 +59,7 @@ pub struct ApplyReport {
 }
 
 impl Sls {
-    /// Serializes the full image at `epoch` into a self-contained stream:
-    /// every object's kind, metadata, and pages.
-    pub fn send_stream(&self, epoch: u64) -> Result<Vec<u8>, SlsError> {
-        let mut store = self.store.lock();
-        let oids = store.objects_at(epoch)?;
-        let mut e = Encoder::new();
-        e.record(STREAM_TAG, 1, |e| {
-            e.u64(epoch);
-            e.u32(oids.len() as u32);
-        });
-        for oid in oids {
-            let kind = store.kind(oid)?;
-            let meta = store.meta_at(oid, epoch).map(|m| m.to_vec()).unwrap_or_default();
-            let pages = store.pages_at(oid, epoch)?;
-            let mut body = Encoder::new();
-            body.u64(oid.0);
-            body.u16(kind.to_raw());
-            body.bytes(&meta);
-            body.u32(pages.len() as u32);
-            for pi in pages {
-                let data = store.read_page(oid, pi, epoch)?;
-                body.u64(pi);
-                body.raw(data.bytes());
-            }
-            let bytes = body.finish_vec();
-            e.u32(bytes.len() as u32);
-            e.raw(&bytes);
-        }
-        let out = e.finish_vec();
-        let trace = self.kernel.charge.trace();
-        if trace.is_enabled() {
-            trace.instant(
-                "core",
-                "sendrecv.send",
-                &[("epoch", epoch), ("bytes", out.len() as u64)],
-            );
-        }
-        Ok(out)
-    }
-
-    /// Imports a stream produced by [`send_stream`](Sls::send_stream)
+    /// Imports a stream produced by [`send_delta`](Sls::send_delta)
     /// into this machine's store (same OIDs) and commits it. Returns the
     /// manifests found, ready for [`Sls::restore_image`].
     pub fn recv_stream(&mut self, stream: &[u8]) -> Result<Vec<Oid>, SlsError> {
@@ -112,121 +72,42 @@ impl Sls {
     /// record attributed to the same consistency group. Returns what was
     /// applied, including the local commit's `durable_at` (the follower's
     /// ack floor).
+    ///
+    /// The stream checksum is verified before anything is staged. A
+    /// stream rejected later (a receiver whose base diverged, a failed
+    /// commit) discards `group`'s draft, so nothing of it can ride along
+    /// in a later commit.
     pub fn recv_apply(&mut self, stream: &[u8], group: u64) -> Result<ApplyReport, SlsError> {
-        let mut manifests = Vec::new();
-        let mut pages = 0u64;
-        let mut d = Decoder::new(stream);
+        let signed_len =
+            stream.len().checked_sub(8).ok_or(CodecError::Truncated { what: "stream checksum" })?;
+        let (signed, csum) = stream.split_at(signed_len);
+        let mut d = Decoder::new(signed);
         let (v, mut hdr) = d.record(STREAM_TAG, STREAM_VERSION)?;
+        if v != STREAM_VERSION {
+            let supported = STREAM_VERSION;
+            return Err(CodecError::BadVersion { tag: STREAM_TAG, supported, found: v }.into());
+        }
+        if csum != fnv1a(signed).to_le_bytes() {
+            return Err(SlsError::BadImage("stream checksum"));
+        }
         let src_epoch = hdr.u64()?;
         let count = hdr.u32()?;
-        // Trailing provenance context (v2, optional): origin node + send
-        // time. Older streams simply end here.
-        let src_node = if hdr.remaining() >= 8 { hdr.u64()? } else { 0 };
-        let sent_at = if hdr.remaining() >= 8 { hdr.u64()? } else { 0 };
+        let src_node = hdr.u64()?;
+        let sent_at = hdr.u64()?;
+        if !hdr.is_empty() {
+            return Err(SlsError::BadImage("stream header length"));
+        }
         let mut store = self.store.lock();
         let prev_staging = store.staging();
         store.stage_for(group);
-        for _ in 0..count {
-            let len = d.u32()? as usize;
-            let mut body = Decoder::new(d.raw(len)?);
-            let oid = Oid(body.u64()?);
-            let kind = ObjectKind::from_raw(body.u16()?)?;
-            let meta = body.bytes()?.to_vec();
-            store.create_object(oid, kind)?;
-            if !meta.is_empty() {
-                store.set_meta(oid, &meta)?;
-            }
-            let npages = body.u32()?;
-            if v < 2 {
-                let mut batch: Vec<(u64, aurora_objstore::PageRef)> =
-                    Vec::with_capacity(npages as usize);
-                for _ in 0..npages {
-                    let pi = body.u64()?;
-                    let page: &[u8; PAGE] =
-                        body.raw(PAGE)?.try_into().expect("exactly one page");
-                    batch.push((pi, store.arena().alloc(*page)));
-                }
-                pages += batch.len() as u64;
-                if !batch.is_empty() {
-                    // One charged bulk write per imported object.
-                    store.write_pages(oid, &batch)?;
-                }
-            } else {
-                // v2: per-page redo records. Replay them onto the local
-                // copy of the page (a follower in sync through the
-                // stream's `from` epoch holds the same base the sender
-                // chained on), verifying the materialized-page checksum
-                // at every record, then log the result locally as one
-                // combined redo write.
-                let mut batch: Vec<RedoWrite> = Vec::with_capacity(npages as usize);
-                for _ in 0..npages {
-                    let pi = body.u64()?;
-                    let nrecs = body.u32()?;
-                    let mut buf = [0u8; PAGE];
-                    let mut base_csum = 0u64;
-                    let mut span: Option<(usize, usize)> = None; // (off, end)
-                    let mut any_full = false;
-                    for r in 0..nrecs {
-                        let full = body.bool()?;
-                        let offset = body.u32()? as usize;
-                        let payload = body.bytes()?;
-                        let page_csum = body.u64()?;
-                        if full {
-                            if payload.len() != PAGE {
-                                return Err(SlsError::BadImage("short full record in stream"));
-                            }
-                            buf.copy_from_slice(payload);
-                            any_full = true;
-                        } else {
-                            if r == 0 {
-                                // Deltas only: seed with the local copy.
-                                let base = store
-                                    .last_epoch()
-                                    .and_then(|e| store.read_page(oid, pi, e).ok());
-                                if let Some(p) = &base {
-                                    buf.copy_from_slice(p.bytes());
-                                }
-                                base_csum = fnv1a(&buf);
-                            }
-                            let end = offset + payload.len();
-                            if end > PAGE {
-                                return Err(SlsError::BadImage("record overruns page"));
-                            }
-                            buf[offset..end].copy_from_slice(payload);
-                            span = Some(match span {
-                                None => (offset, end),
-                                Some((o, e)) => (o.min(offset), e.max(end)),
-                            });
-                        }
-                        if fnv1a(&buf) != page_csum {
-                            return Err(SlsError::BadImage("delta stream page checksum"));
-                        }
-                    }
-                    if nrecs == 0 {
-                        continue;
-                    }
-                    let page = store.arena().alloc(buf);
-                    let delta = match (any_full, span) {
-                        // The stream began at a full image: log a full
-                        // image locally too (nothing older to chain on).
-                        (true, _) => None,
-                        (false, Some((o, e))) => Some((o as u32, buf[o..e].to_vec())),
-                        (false, None) => None,
-                    };
-                    batch.push(RedoWrite { pindex: pi, page, delta, base_csum });
-                }
-                pages += batch.len() as u64;
-                if !batch.is_empty() {
-                    store.append_redo(oid, &batch)?;
-                }
-            }
-            if kind == ObjectKind::Posix(crate::oidmap::tag::MANIFEST) {
-                manifests.push(oid);
-            }
+        let applied = apply_objects(&mut store, &mut d, count)
+            .and_then(|applied| Ok((applied, store.commit_for(group)?)));
+        if applied.is_err() {
+            store.abort_epoch_for(group);
         }
-        let info = store.commit_for(group)?;
-        store.barrier(info);
         store.stage_for(prev_staging);
+        let ((manifests, pages), info) = applied?;
+        store.barrier(info);
         drop(store);
         let trace = self.kernel.charge.trace();
         if trace.is_enabled() {
@@ -256,10 +137,12 @@ impl Sls {
         })
     }
 
-    /// Serializes only the changes between two epochs: the incremental
+    /// Serializes the changes between two epochs: the incremental
     /// stream `sls send` feeds a standby for live migration or high
     /// availability (Table 2, §10). Objects/pages unchanged since
-    /// `from_epoch` are skipped.
+    /// `from_epoch` are skipped; `from_epoch = 0` serializes the full
+    /// image at `to_epoch` — every live object with its kind, metadata
+    /// and pages.
     pub fn send_delta(&self, from_epoch: u64, to_epoch: u64) -> Result<Vec<u8>, SlsError> {
         Ok(self.send_delta_stats(from_epoch, to_epoch)?.0)
     }
@@ -273,29 +156,28 @@ impl Sls {
     ) -> Result<(Vec<u8>, DeltaStats), SlsError> {
         let mut store = self.store.lock();
         let oids = store.objects_at(to_epoch)?;
+        let before = store.objects_at(from_epoch).unwrap_or_default();
         let mut emitted = 0u32;
         let mut total_pages = 0u64;
         let mut bodies = Encoder::new();
         for oid in oids {
             let kind = store.kind(oid)?;
-            // Pages that changed in (from, to].
+            // Pages that changed in (from, to]: absent at `from`, or
+            // with a newer version since.
+            let old = store.pages_at(oid, from_epoch).ok();
             let pages: Vec<u64> = store
                 .pages_at(oid, to_epoch)?
                 .into_iter()
-                .filter(|&pi| {
-                    // Changed iff its newest version ≤ to is > from.
-                    match store.pages_at(oid, from_epoch) {
-                        Ok(old) if old.contains(&pi) => {
-                            // Compare content versions via read: cheaper —
-                            // version epochs — use read only when needed.
-                            store.page_version_epoch(oid, pi, to_epoch).unwrap_or(0) > from_epoch
-                        }
-                        _ => true,
+                .filter(|&pi| match &old {
+                    Some(old) if old.binary_search(&pi).is_ok() => {
+                        store.page_version_epoch(oid, pi, to_epoch).unwrap_or(0) > from_epoch
                     }
+                    _ => true,
                 })
                 .collect();
             let meta_changed = store.meta_version_epoch(oid, to_epoch).unwrap_or(0) > from_epoch;
-            if pages.is_empty() && !meta_changed {
+            let created = before.binary_search(&oid).is_err();
+            if pages.is_empty() && !meta_changed && !created {
                 continue;
             }
             let meta =
@@ -325,8 +207,9 @@ impl Sls {
             bodies.raw(&bytes);
             emitted += 1;
         }
-        // Rewrite the header with the emitted count, stamping the
-        // provenance context: who encoded this stream, and when.
+        drop(store);
+        // The header carries the emitted count and the provenance
+        // context: who encoded this stream, and when.
         let origin = self.node_id;
         let sent_at = self.kernel.charge.clock().now();
         let mut out = Encoder::new();
@@ -337,7 +220,17 @@ impl Sls {
             e.u64(sent_at);
         });
         out.raw(&bodies.finish_vec());
-        let stream = out.finish_vec();
+        let mut stream = out.finish_vec();
+        let csum = fnv1a(&stream);
+        stream.extend_from_slice(&csum.to_le_bytes());
+        let trace = self.kernel.charge.trace();
+        if trace.is_enabled() {
+            trace.instant(
+                "core",
+                "sendrecv.send",
+                &[("from", from_epoch), ("epoch", to_epoch), ("bytes", stream.len() as u64)],
+            );
+        }
         let stats = DeltaStats {
             epoch: to_epoch,
             objects: emitted as u64,
@@ -355,7 +248,7 @@ impl Sls {
         epoch: u64,
         mode: RestoreMode,
     ) -> Result<RestoreReport, SlsError> {
-        let stream = self.send_stream(epoch)?;
+        let stream = self.send_delta(0, epoch)?;
         let manifests = target.recv_stream(&stream)?;
         let manifest = *manifests.first().ok_or(SlsError::BadImage("no manifest in stream"))?;
         let epoch = target
@@ -365,4 +258,107 @@ impl Sls {
             .ok_or(SlsError::BadImage("empty target store"))?;
         target.restore_image(manifest, epoch, mode)
     }
+}
+
+/// Decodes `count` object bodies from `d` into the staging draft, then
+/// requires the stream to end. Returns the manifests seen and the pages
+/// written.
+fn apply_objects(
+    store: &mut ObjectStore,
+    d: &mut Decoder<'_>,
+    count: u32,
+) -> Result<(Vec<Oid>, u64), SlsError> {
+    let mut manifests = Vec::new();
+    let mut pages = 0u64;
+    for _ in 0..count {
+        let len = d.u32()? as usize;
+        let mut body = Decoder::new(d.raw(len)?);
+        let oid = Oid(body.u64()?);
+        // The store allocates oids below u64::MAX (its next-oid counter
+        // sits one above the largest).
+        if oid.0 == u64::MAX {
+            return Err(SlsError::BadImage("oid out of range"));
+        }
+        let kind = ObjectKind::from_raw(body.u16()?)?;
+        let meta = body.bytes()?;
+        store.create_object(oid, kind)?;
+        if !meta.is_empty() {
+            store.set_meta(oid, meta)?;
+        }
+        // Per-page redo records, replayed onto the local copy of the
+        // page (a receiver in sync through the stream's `from` epoch
+        // holds the same base the sender chained on), verifying the
+        // materialized-page checksum at every record, then logged
+        // locally as one combined redo write.
+        let npages = body.u32()?;
+        let mut batch = Vec::new();
+        for _ in 0..npages {
+            let pi = body.u64()?;
+            if pi >= u64::MAX / PAGE as u64 {
+                return Err(SlsError::BadImage("page index out of range"));
+            }
+            let nrecs = body.u32()?;
+            let mut buf = [0u8; PAGE];
+            let mut base_csum = 0u64;
+            let mut span: Option<(usize, usize)> = None; // (off, end)
+            let mut any_full = false;
+            for r in 0..nrecs {
+                let full = body.bool()?;
+                let offset = body.u32()? as usize;
+                let payload = body.bytes()?;
+                let page_csum = body.u64()?;
+                if full {
+                    if payload.len() != PAGE {
+                        return Err(SlsError::BadImage("short full record in stream"));
+                    }
+                    buf.copy_from_slice(payload);
+                    any_full = true;
+                } else {
+                    if r == 0 {
+                        // Deltas only: seed with the local copy.
+                        let base =
+                            store.last_epoch().and_then(|e| store.read_page(oid, pi, e).ok());
+                        if let Some(p) = &base {
+                            buf.copy_from_slice(p.bytes());
+                        }
+                        base_csum = fnv1a(&buf);
+                    }
+                    let end = offset + payload.len();
+                    if end > PAGE {
+                        return Err(SlsError::BadImage("record overruns page"));
+                    }
+                    buf[offset..end].copy_from_slice(payload);
+                    span = Some(match span {
+                        None => (offset, end),
+                        Some((o, e)) => (o.min(offset), e.max(end)),
+                    });
+                }
+                if fnv1a(&buf) != page_csum {
+                    return Err(SlsError::BadImage("delta stream page checksum"));
+                }
+            }
+            if nrecs == 0 {
+                continue;
+            }
+            let page = store.arena().alloc(buf);
+            // A page whose records include a full image is logged as a
+            // full image locally too (nothing older to chain on).
+            let delta = span.filter(|_| !any_full).map(|(o, e)| (o as u32, buf[o..e].to_vec()));
+            batch.push(RedoWrite { pindex: pi, page, delta, base_csum });
+        }
+        if !body.is_empty() {
+            return Err(SlsError::BadImage("object body length"));
+        }
+        pages += batch.len() as u64;
+        if !batch.is_empty() {
+            store.append_redo(oid, &batch)?;
+        }
+        if kind == ObjectKind::Posix(crate::oidmap::tag::MANIFEST) {
+            manifests.push(oid);
+        }
+    }
+    if !d.is_empty() {
+        return Err(SlsError::BadImage("trailing bytes in stream"));
+    }
+    Ok((manifests, pages))
 }

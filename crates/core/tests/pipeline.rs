@@ -46,7 +46,7 @@ fn identical_worlds_checkpoint_identically() {
             epoch = w.sls.sls_checkpoint(gid).unwrap().epoch;
         }
         w.sls.sls_barrier(gid).unwrap();
-        w.sls.send_stream(epoch).unwrap()
+        w.sls.send_delta(0, epoch).unwrap()
     };
     let a = run();
     let b = run();

@@ -558,7 +558,7 @@ fn incremental_delta_streams_feed_a_standby() {
     src.sls.sls_barrier(gid).unwrap();
 
     let mut dst = World::quickstart();
-    let full = src.sls.send_stream(cp1.epoch).unwrap();
+    let full = src.sls.send_delta(0, cp1.epoch).unwrap();
     let manifests = dst.sls.recv_stream(&full).unwrap();
     assert_eq!(manifests.len(), 1);
 

@@ -23,7 +23,7 @@ fn sendrecv_roundtrip_survives_mirror_death_mid_transfer() {
     // device writes — the member must die with the transfer still going.
     src.dirty_region(pid, 64).unwrap();
     let cp = src.sls.checkpoint_now(gid).unwrap();
-    let stream = src.sls.send_stream(cp.epoch).unwrap();
+    let stream = src.sls.send_delta(0, cp.epoch).unwrap();
 
     // Receiver: a two-way mirror with the invariant checker armed.
     let (mut dst, mirror, faults) = World::with_mirrored_store(LEAF_BYTES);

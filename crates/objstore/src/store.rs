@@ -200,20 +200,8 @@ pub struct CommitInfo {
 
 const MAGIC: u64 = 0x4155_524f_5241_5354; // "AURORAST"
 const SUPERBLOCK_VERSION: u16 = 1;
-// v2 added the retained-history floor to the commit record, making
-// `drop_oldest_checkpoint` crash-safe.
-// v3 added a per-page FNV-1a data checksum to every page version, so
-// silent medium corruption is caught at read time rather than handed to
-// the application.
-// v4 added the committing consistency group to the commit header, so
-// recovery can attribute every epoch to the group whose pipeline wrote
-// it. v3 records (no group field) replay as group 0.
-// v5 made the log the database: every page version is a redo record
-// with an LSN, chained per page via `prev_lsn`; sub-page delta records
-// pack many to a device block, and the header carries the epoch's
-// consistency-point LSN so watermarks and point-in-time restore survive
-// recovery. v4 page entries (no LSN) replay as full-image records with
-// synthetic LSNs in log order.
+/// Commit-record format. Replay reads this version only: every store is
+/// formatted by this code, so no medium holds an older record.
 const RECORD_VERSION: u16 = 5;
 
 /// Provenance tags for staged (uncommitted) state. A draft entry carries
@@ -636,27 +624,17 @@ impl ObjectStore {
             d.read(head, 1).map_err(StoreError::dev("replay-header", None, 0, 0))?
         };
         let mut dec = Decoder::new(&header);
-        let Ok((v, mut body)) = dec.record(0x434b, RECORD_VERSION) else { return Ok(None) };
+        let Ok((RECORD_VERSION, mut body)) = dec.record(0x434b, RECORD_VERSION) else {
+            return Ok(None);
+        };
         if body.u64().ok() != Some(MAGIC) {
             return Ok(None);
         }
         let Ok(epoch) = body.u64() else { return Ok(None) };
-        // v4 attributes the epoch to its committing group; earlier
-        // records predate consistency-group sharding.
-        let group = if v >= 4 {
-            let Ok(g) = body.u64() else { return Ok(None) };
-            g
-        } else {
-            0
-        };
-        // v5 carries the epoch's consistency-point LSN so watermarks and
+        let Ok(group) = body.u64() else { return Ok(None) };
+        // The epoch's consistency-point LSN, so watermarks and
         // point-in-time restore survive recovery.
-        let cpl = if v >= 5 {
-            let Ok(c) = body.u64() else { return Ok(None) };
-            Some(c)
-        } else {
-            None
-        };
+        let Ok(cpl) = body.u64() else { return Ok(None) };
         let Ok(floor) = body.u64() else { return Ok(None) };
         let Ok(nblocks) = body.u64() else { return Ok(None) };
         let Ok(len) = body.u64() else { return Ok(None) };
@@ -673,7 +651,7 @@ impl ObjectStore {
         if len > payload.len() || fnv1a(&payload[..len]) != checksum {
             return Ok(None); // incomplete commit: data raced the crash
         }
-        self.apply_record(v, epoch, &payload[..len])?;
+        self.apply_record(epoch, &payload[..len])?;
         let trace = self.charge.trace();
         if trace.is_enabled() {
             trace.instant(
@@ -684,9 +662,6 @@ impl ObjectStore {
         }
         self.epochs.push(epoch);
         self.epoch_groups.insert(epoch, group);
-        // Pre-v5 epochs replayed with synthetic LSNs; their consistency
-        // point is whatever the synthetic counter reached.
-        let cpl = cpl.unwrap_or(self.next_lsn - 1);
         self.next_lsn = self.next_lsn.max(cpl + 1);
         self.epoch_cpls.insert(epoch, cpl);
         self.floor = self.floor.max(floor);
@@ -716,7 +691,9 @@ impl ObjectStore {
             for i in 0..n {
                 let block = &buf[i as usize * PAGE..(i as usize + 1) * PAGE];
                 let mut dec = Decoder::new(block);
-                let Ok((_v, mut body)) = dec.record(0x434b, RECORD_VERSION) else { continue };
+                let Ok((RECORD_VERSION, mut body)) = dec.record(0x434b, RECORD_VERSION) else {
+                    continue;
+                };
                 if body.u64().ok() == Some(MAGIC)
                     && body.u64().ok().is_some_and(|e| e >= self.cur_epoch)
                 {
@@ -728,7 +705,7 @@ impl ObjectStore {
         Ok(None)
     }
 
-    fn apply_record(&mut self, v: u16, epoch: u64, payload: &[u8]) -> Result<()> {
+    fn apply_record(&mut self, epoch: u64, payload: &[u8]) -> Result<()> {
         let mut d = Decoder::new(payload);
         let count = d.u32()?;
         for _ in 0..count {
@@ -755,44 +732,23 @@ impl ObjectStore {
             }
             for _ in 0..npages {
                 let pindex = d.u64()?;
-                let entry = if v >= 5 {
-                    let lsn = d.u64()?;
-                    let prev_lsn = d.u64()?;
-                    let block = d.u64()?;
-                    let byte_off = d.u32()?;
-                    let rec_len = d.u32()?;
-                    let flags = d.u8()?;
-                    let csum = d.u64()?;
-                    PageVersion {
-                        epoch,
-                        lsn,
-                        block,
-                        byte_off,
-                        rec_len,
-                        prev_lsn,
-                        full: flags & 1 != 0,
-                        redo: flags & 2 != 0,
-                        csum,
-                    }
-                } else {
-                    // Pre-v5: a raw full-image block with no LSN. Assign
-                    // synthetic LSNs in log order so chains and
-                    // watermarks are well-defined over old history.
-                    let block = d.u64()?;
-                    let csum = d.u64()?;
-                    let lsn = self.next_lsn;
-                    self.next_lsn += 1;
-                    PageVersion {
-                        epoch,
-                        lsn,
-                        block,
-                        byte_off: 0,
-                        rec_len: PAGE as u32,
-                        prev_lsn: 0,
-                        full: true,
-                        redo: false,
-                        csum,
-                    }
+                let lsn = d.u64()?;
+                let prev_lsn = d.u64()?;
+                let block = d.u64()?;
+                let byte_off = d.u32()?;
+                let rec_len = d.u32()?;
+                let flags = d.u8()?;
+                let csum = d.u64()?;
+                let entry = PageVersion {
+                    epoch,
+                    lsn,
+                    block,
+                    byte_off,
+                    rec_len,
+                    prev_lsn,
+                    full: flags & 1 != 0,
+                    redo: flags & 2 != 0,
+                    csum,
                 };
                 obj.versions.entry(pindex).or_default().push(entry);
             }
@@ -2408,7 +2364,9 @@ impl ObjectStore {
 
     /// Removes history below `floor`: dead objects, superseded page
     /// versions, superseded metadata. Returns the device blocks this
-    /// releases. Shared by [`drop_oldest_checkpoint`] and recovery.
+    /// releases, sorted so that their reuse order (and so later block
+    /// placement) depends only on the history, not on hash-map
+    /// iteration. Shared by [`drop_oldest_checkpoint`] and recovery.
     ///
     /// [`drop_oldest_checkpoint`]: ObjectStore::drop_oldest_checkpoint
     fn prune_below_floor(&mut self, floor: u64) -> Vec<u64> {
@@ -2475,6 +2433,7 @@ impl ObjectStore {
                 o.meta.remove(0);
             }
         }
+        freed.sort_unstable();
         freed
     }
 
@@ -2725,6 +2684,36 @@ mod tests {
         s.reclaim_matured();
         assert!(s.staged_free.is_empty());
         assert!(!s.free_blocks.is_empty(), "block reusable after floor commit is durable");
+    }
+
+    #[test]
+    fn identical_histories_free_identical_block_lists() {
+        let run = || {
+            let mut s = fresh();
+            let oids: Vec<Oid> = (0..32).map(|_| s.alloc_oid()).collect();
+            for &oid in &oids {
+                s.create_object(oid, ObjectKind::Memory).unwrap();
+            }
+            for i in 1..=3u8 {
+                for (n, &oid) in oids.iter().enumerate() {
+                    if i == 3 && n % 4 == 0 {
+                        s.delete_object(oid).unwrap();
+                        continue;
+                    }
+                    for pi in 0..8 {
+                        s.write_page(oid, pi, &page(i)).unwrap();
+                    }
+                }
+                let c = s.commit().unwrap();
+                s.barrier(c);
+            }
+            s.drop_oldest_checkpoint().unwrap();
+            s.drop_oldest_checkpoint().unwrap();
+            std::mem::take(&mut s.staged_free)
+        };
+        let a = run();
+        assert!(a.len() >= 32 * 8, "superseded and dead versions were freed: {}", a.len());
+        assert_eq!(a, run(), "reclamation order depends only on the history");
     }
 
     #[test]

@@ -29,11 +29,11 @@ pub enum CodecError {
         /// Actual record tag found.
         found: u16,
     },
-    /// A record version is newer than this decoder understands.
+    /// A record version this decoder does not read.
     BadVersion {
         /// Record tag.
         tag: u16,
-        /// Maximum version supported.
+        /// Newest version supported.
         supported: u16,
         /// Version found.
         found: u16,
@@ -54,7 +54,7 @@ impl fmt::Display for CodecError {
             }
             CodecError::BadVersion { tag, supported, found } => write!(
                 f,
-                "record {tag:#06x} version {found} is newer than supported {supported}"
+                "record {tag:#06x} version {found} is unsupported (supported: {supported})"
             ),
             CodecError::Invalid { what } => write!(f, "invalid value decoding {what}"),
         }
