@@ -22,7 +22,7 @@ use aurora_posix::process::Regs;
 use aurora_posix::socket::{Domain, SockType, TcpState};
 use aurora_posix::vfs::VnodeKind;
 use aurora_posix::{Kernel, Pid, Tid};
-use aurora_sim::codec::{Decoder, Encoder};
+use aurora_sim::codec::{CodecError, Decoder, Encoder};
 use aurora_vm::{Inherit, ObjKind, Prot};
 
 
@@ -329,13 +329,20 @@ fn put_msgs(e: &mut Encoder, msgs: &[(Vec<u8>, Vec<Oid>)]) {
 /// Decoded socket-buffer messages: (payload, in-flight descriptor OIDs).
 type Msgs = Vec<(Vec<u8>, Vec<Oid>)>;
 
+/// An empty vector for `n` decoded elements. Every element takes at
+/// least one byte of `d`, so the preallocation is bounded by the bytes
+/// that remain: a corrupt count can't size an allocation.
+fn prealloc<T>(n: u32, d: &Decoder<'_>) -> Vec<T> {
+    Vec::with_capacity((n as usize).min(d.remaining()))
+}
+
 fn get_msgs(d: &mut Decoder<'_>) -> Result<Msgs, SlsError> {
     let n = d.u32()?;
-    let mut out = Vec::with_capacity(n as usize);
+    let mut out = prealloc(n, d);
     for _ in 0..n {
         let data = d.bytes()?.to_vec();
         let nf = d.u32()?;
-        let mut fds = Vec::with_capacity(nf as usize);
+        let mut fds = prealloc(nf, d);
         for _ in 0..nf {
             fds.push(Oid(d.u64()?));
         }
@@ -428,6 +435,9 @@ pub fn encode_proc(k: &Kernel, pid: Pid, oids: &OidMap) -> Result<Vec<u8>, SlsEr
 pub fn decode_proc(bytes: &[u8]) -> Result<ProcRecord, SlsError> {
     let mut d = Decoder::new(bytes);
     let (v, mut b) = d.record(tag::PROC, 2)?;
+    if v != 2 {
+        return Err(CodecError::BadVersion { tag: tag::PROC, supported: 2, found: v }.into());
+    }
     let had_ephemeral_children = b.bool()?;
     let local_pid = b.u32()?;
     let parent_local = if b.bool()? { Some(b.u32()?) } else { None };
@@ -435,17 +445,17 @@ pub fn decode_proc(bytes: &[u8]) -> Result<ProcRecord, SlsError> {
     let sid = b.u32()?;
     let name = b.str()?.to_string();
     let nt = b.u32()?;
-    let mut threads = Vec::with_capacity(nt as usize);
+    let mut threads = prealloc(nt, &b);
     for _ in 0..nt {
         threads.push(Oid(b.u64()?));
     }
     let nf = b.u32()?;
-    let mut fds = Vec::with_capacity(nf as usize);
+    let mut fds = prealloc(nf, &b);
     for _ in 0..nf {
         fds.push((b.u32()?, Oid(b.u64()?)));
     }
     let ne = b.u32()?;
-    let mut entries = Vec::with_capacity(ne as usize);
+    let mut entries = prealloc(ne, &b);
     for _ in 0..ne {
         entries.push(EntryRecord {
             start: b.u64()?,
@@ -457,13 +467,10 @@ pub fn decode_proc(bytes: &[u8]) -> Result<ProcRecord, SlsError> {
             sls_exclude: b.bool()?,
         });
     }
-    // v2 appended in-flight asynchronous reads; v1 images have none.
-    let mut aio_reads = Vec::new();
-    if v >= 2 {
-        let na = b.u32()?;
-        for _ in 0..na {
-            aio_reads.push((Oid(b.u64()?), b.u64()?, b.u64()?));
-        }
+    let na = b.u32()?;
+    let mut aio_reads = prealloc(na, &b);
+    for _ in 0..na {
+        aio_reads.push((Oid(b.u64()?), b.u64()?, b.u64()?));
     }
     Ok(ProcRecord {
         local_pid,
@@ -629,7 +636,7 @@ pub fn decode_vnode(bytes: &[u8]) -> Result<VnodeRecord, SlsError> {
     let open_refs = b.u32()?;
     let size = b.u64()?;
     let nd = b.u32()?;
-    let mut dirents = Vec::with_capacity(nd as usize);
+    let mut dirents = prealloc(nd, &b);
     for _ in 0..nd {
         dirents.push((b.str()?.to_string(), b.u64()?));
     }
@@ -777,7 +784,7 @@ pub fn decode_kqueue(bytes: &[u8]) -> Result<KqueueRecord, SlsError> {
     let mut d = Decoder::new(bytes);
     let (_v, mut b) = d.record(tag::KQUEUE, 1)?;
     let n = b.u32()?;
-    let mut events = Vec::with_capacity(n as usize);
+    let mut events = prealloc(n, &b);
     for _ in 0..n {
         events.push((b.u64()?, b.u8()?, b.bool()?, b.u64()?));
     }
@@ -970,12 +977,12 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<ManifestRecord, SlsError> {
     let period_ns = b.u64()?;
     let extsync = b.bool()?;
     let n = b.u32()?;
-    let mut procs = Vec::with_capacity(n as usize);
+    let mut procs = prealloc(n, &b);
     for _ in 0..n {
         procs.push((Oid(b.u64()?), b.u32()?, b.bool()?));
     }
     let nv = b.u32()?;
-    let mut fs_vnodes = Vec::with_capacity(nv as usize);
+    let mut fs_vnodes = prealloc(nv, &b);
     for _ in 0..nv {
         fs_vnodes.push(Oid(b.u64()?));
     }
@@ -995,6 +1002,60 @@ mod tests {
             fs_vnodes: vec![Oid(11)],
         };
         assert_eq!(decode_manifest(&encode_manifest(&m)).unwrap(), m);
+    }
+
+    /// A PROC record with empty thread, fd and map lists whose count at
+    /// position `lie` (0 threads, 1 fds, 2 entries, 3 aio reads) claims
+    /// `u32::MAX` elements instead.
+    fn proc_record(version: u16, lie: Option<usize>) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.record(tag::PROC, version, |e| {
+            e.bool(false);
+            e.u32(7);
+            e.bool(false);
+            e.u32(7);
+            e.u32(7);
+            e.str("x");
+            for list in 0..4 {
+                e.u32(if lie == Some(list) { u32::MAX } else { 0 });
+            }
+        });
+        e.finish_vec()
+    }
+
+    #[test]
+    fn corrupt_proc_counts_are_errors_not_allocations() {
+        assert_eq!(decode_proc(&proc_record(2, None)).unwrap().local_pid, 7);
+        for lie in 0..4 {
+            let err = decode_proc(&proc_record(2, Some(lie))).unwrap_err();
+            assert!(matches!(err, SlsError::Codec(CodecError::Truncated { .. })), "{lie}: {err}");
+        }
+    }
+
+    #[test]
+    fn proc_versions_other_than_2_are_rejected() {
+        for v in [0, 1, 3] {
+            let err = decode_proc(&proc_record(v, None)).unwrap_err();
+            assert!(
+                matches!(err, SlsError::Codec(CodecError::BadVersion { found, .. }) if found == v),
+                "v{v}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_manifest_counts_are_errors_not_allocations() {
+        for lie in 0..2 {
+            let mut e = Encoder::new();
+            e.record(tag::MANIFEST, 1, |e| {
+                e.u64(10_000_000);
+                e.bool(true);
+                e.u32(if lie == 0 { u32::MAX } else { 0 });
+                e.u32(if lie == 1 { u32::MAX } else { 0 });
+            });
+            let err = decode_manifest(&e.finish_vec()).unwrap_err();
+            assert!(matches!(err, SlsError::Codec(CodecError::Truncated { .. })), "{lie}: {err}");
+        }
     }
 
     #[test]

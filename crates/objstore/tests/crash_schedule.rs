@@ -2,12 +2,16 @@
 //!
 //! Every test here is deterministic: a failing schedule is named by its
 //! (workload seed, crash point) pair printed in the panic message, and
-//! rerunning the test reproduces it bit-for-bit.
+//! rerunning the test reproduces it bit-for-bit. Each sweep explores
+//! every write boundary of its workload and pins the exact report, so a
+//! change to the workload, the setup writes or the cut semantics fails
+//! loudly.
 //!
-//! `CRASH_SCHEDULE_CAP` (env) bounds the number of schedules per sweep
-//! for CI; unset, every write boundary is explored.
+//! The two-group sweeps keep one draft epoch open per consistency group,
+//! so crashes land while both groups have epochs in flight; the golden
+//! run asserts that both drafts really were open at once.
 
-use aurora_objstore::explore::Explorer;
+use aurora_objstore::explore::{Explorer, ScheduleReport};
 use aurora_objstore::{ObjectKind, ObjectStore, PageRef, StoreError, PAGE};
 use aurora_sim::cost::Charge;
 use aurora_sim::{Clock, CostModel};
@@ -15,8 +19,8 @@ use aurora_storage::faulty::FaultPlan;
 use aurora_storage::faulty_testbed_array;
 use aurora_trace::{InvariantChecker, Trace};
 
-fn cap() -> Option<u64> {
-    std::env::var("CRASH_SCHEDULE_CAP").ok().and_then(|v| v.parse().ok())
+fn report(schedules: u64, cuts_fired: u64, recovered_nonempty: u64) -> ScheduleReport {
+    ScheduleReport { schedules, cuts_fired, recovered_nonempty }
 }
 
 /// A charge with a recording trace and the online invariant checker
@@ -36,37 +40,43 @@ fn traced_charge(clock: &Clock) -> (Charge, InvariantChecker) {
 #[test]
 fn every_write_boundary_recovers() {
     let explorer = Explorer::from_seed(0xA0207A, 90, false);
-    let report = explorer.explore(cap(), None);
-    assert!(
-        report.schedules >= 100 || cap().is_some(),
-        "workload too small: only {} crash points",
-        report.schedules
-    );
-    assert!(report.cuts_fired == report.schedules, "every schedule must reach its cut");
-    assert!(report.recovered_nonempty > 0, "some schedules must recover workload epochs");
+    assert_eq!(explorer.explore(None), report(114, 114, 111));
 }
 
 #[test]
 fn every_write_boundary_recovers_with_torn_writes() {
     let explorer = Explorer::from_seed(0xA0207B, 70, false);
-    let report = explorer.explore(cap(), Some(0x7EA2));
-    assert!(report.schedules > 0);
-    assert!(report.cuts_fired == report.schedules);
+    assert_eq!(explorer.explore(Some(0x7EA2)), report(80, 80, 71));
 }
 
 #[test]
 fn drop_oldest_interleaved_with_crashes_recovers() {
     let explorer = Explorer::from_seed(0xD209, 90, true);
-    let report = explorer.explore(cap(), None);
-    assert!(report.schedules > 0);
-    assert!(report.recovered_nonempty > 0);
+    assert_eq!(explorer.explore(None), report(101, 101, 97));
 }
 
 #[test]
 fn a_second_seed_also_survives() {
     let explorer = Explorer::from_seed(0x5EED2, 80, false);
-    let report = explorer.explore(cap().map(|c| c / 2).filter(|&c| c > 0), None);
-    assert!(report.schedules > 0);
+    assert_eq!(explorer.explore(None), report(94, 94, 92));
+}
+
+#[test]
+fn two_groups_recover_independently_at_every_write_boundary() {
+    let explorer = Explorer::two_groups_from_seed(0x62017A, 80);
+    assert_eq!(explorer.explore(None), report(99, 99, 76));
+}
+
+#[test]
+fn two_groups_recover_independently_with_torn_writes() {
+    let explorer = Explorer::two_groups_from_seed(0x62017B, 70);
+    assert_eq!(explorer.explore(Some(0x7EA3)), report(89, 89, 84));
+}
+
+#[test]
+fn a_second_two_group_seed_also_survives() {
+    let explorer = Explorer::two_groups_from_seed(0x62052, 80);
+    assert_eq!(explorer.explore(None), report(103, 103, 99));
 }
 
 /// A transient device error during a synchronous journal append leaves
