@@ -14,8 +14,6 @@
 pub mod memcached_sim;
 pub mod suite;
 
-use aurora_sim::stats::summarize_runs;
-
 /// True when `AURORA_BENCH_QUICK` asks for shrunken smoke-test sizes.
 pub fn quick() -> bool {
     std::env::var("AURORA_BENCH_QUICK").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
@@ -96,7 +94,7 @@ impl BenchReport {
     /// Merges `h` into the named histogram (creating it on first use) —
     /// per-run histograms accumulate via [`aurora_trace::Histogram::merge`].
     pub fn merge_histogram(&mut self, name: &str, h: &aurora_trace::Histogram) {
-        if h.count == 0 {
+        if h.count() == 0 {
             return;
         }
         match self.histograms.iter_mut().find(|(n, _)| n == name) {
@@ -148,14 +146,14 @@ impl BenchReport {
                     "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\
                      \"p50\":{},\"p95\":{},\"p99\":{}}}",
                     escape(name),
-                    h.count,
-                    h.sum,
-                    if h.count == 0 { 0 } else { h.min },
-                    h.max,
+                    h.count(),
+                    h.sum(),
+                    h.min(),
+                    h.max(),
                     h.mean(),
-                    h.percentile(50),
-                    h.percentile(95),
-                    h.percentile(99),
+                    h.percentile(50.0),
+                    h.percentile(95.0),
+                    h.percentile(99.0),
                 ));
             }
             out.push('}');
@@ -199,6 +197,34 @@ pub fn row(cells: &[String]) {
     println!("{}", cells.iter().map(|c| format!("{c:>16}")).collect::<Vec<_>>().join(" "));
 }
 
+/// Mean and sample standard deviation over repeated experiment runs.
+///
+/// The paper runs each benchmark at least three times and reports the
+/// standard deviation as error bars.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct RunSummary {
+    /// Mean over runs.
+    mean: f64,
+    /// Sample standard deviation over runs (0 for a single run).
+    stddev: f64,
+}
+
+/// Summarizes a slice of per-run measurements.
+fn summarize_runs(runs: &[f64]) -> RunSummary {
+    if runs.is_empty() {
+        return RunSummary { mean: 0.0, stddev: 0.0 };
+    }
+    let mean = runs.iter().sum::<f64>() / runs.len() as f64;
+    let stddev = if runs.len() < 2 {
+        0.0
+    } else {
+        let var =
+            runs.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / (runs.len() - 1) as f64;
+        var.sqrt()
+    };
+    RunSummary { mean, stddev }
+}
+
 /// Formats mean±std over runs using a unit formatter.
 pub fn mean_pm(runs: &[f64], fmt: impl Fn(f64) -> String) -> String {
     let s = summarize_runs(runs);
@@ -221,6 +247,15 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_summary_matches_hand_computation() {
+        let s = summarize_runs(&[1.0, 2.0, 3.0]);
+        assert!((s.mean - 2.0).abs() < 1e-12);
+        assert!((s.stddev - 1.0).abs() < 1e-12);
+        let single = summarize_runs(&[5.0]);
+        assert_eq!(single.stddev, 0.0);
+    }
 
     #[test]
     fn mean_pm_formats() {

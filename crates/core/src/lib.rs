@@ -46,7 +46,6 @@ pub use error::SlsError;
 pub use pipeline::{CheckpointPipeline, GroupRun, Phase, RetryPolicy};
 pub use registry::{default_registry, KObjKind, Serializer, SerializerRegistry};
 pub use restore::RestoreMode;
-pub use scheduler::{CheckpointScheduler, SchedulerPolicy};
 pub use sendrecv::{ApplyReport, DeltaStats};
 
 pub use aurora_frames::{FrameArena, FrameGauges, PageRef};
@@ -521,7 +520,6 @@ impl Sls {
             ("extsync.pending_batches".into(), pending),
             ("trace.dropped_records".into(), self.trace.dropped_records()),
             ("trace.capacity".into(), self.trace.capacity() as u64),
-            ("trace.cap_invalid".into(), self.trace.cap_override_invalid() as u64),
             ("device.health.degraded_members".into(), health.degraded_members()),
             ("device.health.worst".into(), health.worst_code()),
             ("device.health.read_fallbacks".into(), health.read_fallbacks),
@@ -685,10 +683,10 @@ impl Sls {
     }
 
     /// Periodic driver: checkpoints every group whose period has elapsed.
-    /// When more than one group is due, their pipelines run through the
-    /// [`scheduler::CheckpointScheduler`] so the stop windows stagger
-    /// against each other's flushes instead of serializing. Returns the
-    /// stats of the checkpoints taken.
+    /// When more than one group is due, their pipelines run through
+    /// [`scheduler::run`] so the stop windows stagger against each
+    /// other's flushes instead of serializing. Returns the stats of the
+    /// checkpoints taken.
     pub fn tick(&mut self) -> Result<Vec<CheckpointStats>, SlsError> {
         let now = self.kernel.charge.clock().now();
         // Degraded-mode cadence stretch: while the device stack reports
@@ -725,10 +723,10 @@ impl Sls {
     }
 
     /// Checkpoints every group in `gids` with their pipelines overlapped
-    /// by the [`scheduler::CheckpointScheduler`] (default policy): group
-    /// B quiesces and serializes while group A's flush is in flight, and
-    /// each group's epoch commits against its own draft's durability
-    /// barrier. Returns one [`CheckpointStats`] per group, `gids` order.
+    /// by [`scheduler::run`]: group B quiesces and serializes while group
+    /// A's flush is in flight, and each group's epoch commits against its
+    /// own draft's durability barrier. Returns one [`CheckpointStats`] per
+    /// group, `gids` order.
     pub fn checkpoint_all(&mut self, gids: &[GroupId]) -> Result<Vec<CheckpointStats>, SlsError> {
         // Open breakers short-circuit before the scheduler sees the
         // group; the skipped groups still get (failed) stats entries.
@@ -745,7 +743,7 @@ impl Sls {
         let ran = if runnable.is_empty() {
             Vec::new()
         } else {
-            scheduler::CheckpointScheduler::default().run(self, &runnable)?
+            scheduler::run(self, &runnable)?
         };
         for stats in &ran {
             self.note_checkpoint_outcome(stats);

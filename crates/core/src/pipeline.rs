@@ -10,10 +10,9 @@
 //! group's checkpoint as a resumable state machine over four phases
 //! (Stop → Flush → Seal → Commit), every store mutation staged under
 //! the group's draft epoch. [`CheckpointPipeline`] drives one run to
-//! completion (the single-group path); the
-//! [`CheckpointScheduler`](crate::scheduler::CheckpointScheduler)
-//! interleaves many runs so group B can quiesce while group A's flush
-//! is still in flight.
+//! completion (the single-group path);
+//! [`scheduler::run`](crate::scheduler::run) interleaves many runs so
+//! group B can quiesce while group A's flush is still in flight.
 //!
 //! The Serialize and Flush stages dispatch through the
 //! [`SerializerRegistry`] — the pipeline knows *when* to serialize, the

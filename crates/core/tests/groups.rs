@@ -3,7 +3,7 @@
 //! synchrony.
 
 use aurora_core::world::World;
-use aurora_core::{AuroraApi, CheckpointScheduler, GroupId, GroupRun, Phase, SlsOptions};
+use aurora_core::{scheduler, AuroraApi, GroupId, GroupRun, Phase, SlsOptions};
 use aurora_posix::Pid;
 use aurora_storage::faulty::FaultPlan;
 use aurora_trace::InvariantChecker;
@@ -107,7 +107,7 @@ fn scheduler_commits_every_group() {
         touch(&mut w, pid, addr);
     }
     let gids: Vec<GroupId> = groups.iter().map(|&(g, _, _)| g).collect();
-    let stats = CheckpointScheduler::default().run(&mut w.sls, &gids).unwrap();
+    let stats = scheduler::run(&mut w.sls, &gids).unwrap();
     assert_eq!(stats.len(), 4);
     let mut epochs: Vec<u64> = stats.iter().map(|s| s.epoch).collect();
     epochs.dedup();

@@ -154,3 +154,25 @@ fn stat_gauges_are_sorted_and_cover_every_subsystem() {
     }
     assert!(gauges.len() >= 20, "got {} gauges", gauges.len());
 }
+
+#[test]
+fn redo_chain_len_p95_reports_chains_longer_than_31() {
+    // One page dirtied in 40 consecutive checkpoints: after a crash its
+    // materialization replays a 41-link chain (full base + 40 deltas).
+    let mut w = World::quickstart();
+    let pid = w.spawn_counter_app();
+    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    w.sls.sls_checkpoint(gid).unwrap();
+    for _ in 0..40 {
+        w.bump_counter(pid).unwrap();
+        w.sls.sls_checkpoint(gid).unwrap();
+    }
+    w.sls.sls_barrier(gid).unwrap();
+    w.sls.crash_and_reboot().unwrap();
+    let epoch = w.sls.store().lock().last_epoch().unwrap();
+    let manifest = w.sls.manifests_at(epoch).unwrap()[0];
+    let r = w.sls.restore_image(manifest, epoch, aurora_core::RestoreMode::Full).unwrap();
+    assert_eq!(w.read_counter(r.pids[0]).unwrap(), 40);
+    let p95 = w.sls.store().lock().gauges().redo_chain_len_p95;
+    assert!(p95 > 31, "chain p95 clipped: {p95}");
+}

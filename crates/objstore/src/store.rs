@@ -5,6 +5,7 @@ use aurora_frames::{FrameArena, PageRef};
 use aurora_storage::device::{Completion, DeviceError, SharedDevice};
 use aurora_sim::codec::{CodecError, Decoder, Encoder};
 use aurora_sim::cost::Charge;
+use aurora_trace::Histogram;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -390,9 +391,8 @@ pub struct ObjectStore {
     redo_appended: u64,
     redo_materializations: u64,
     redo_bytes_saved: u64,
-    /// Materialization chain-length histogram: bucket i counts chains of
-    /// length i (last bucket is open-ended).
-    chain_hist: [u64; 32],
+    /// Materialization chain lengths.
+    chain_hist: Histogram,
 }
 
 /// A point-in-time observability snapshot of the store, for the metrics
@@ -471,7 +471,7 @@ impl ObjectStore {
             redo_appended: 0,
             redo_materializations: 0,
             redo_bytes_saved: 0,
-            chain_hist: [0; 32],
+            chain_hist: Histogram::default(),
         };
         store.write_superblock()?;
         Ok(store)
@@ -543,7 +543,7 @@ impl ObjectStore {
             redo_appended: 0,
             redo_materializations: 0,
             redo_bytes_saved: 0,
-            chain_hist: [0; 32],
+            chain_hist: Histogram::default(),
         };
         store.replay()?;
         Ok(store)
@@ -710,7 +710,8 @@ impl ObjectStore {
         let count = d.u32()?;
         for _ in 0..count {
             let oid = d.u64()?;
-            self.next_oid = self.next_oid.max(oid + 1);
+            let after = oid.checked_add(1).ok_or(StoreError::Corrupt("commit record oid"))?;
+            self.next_oid = self.next_oid.max(after);
             let kind_raw = d.u16()?;
             let size = d.u64()?;
             let deleted = d.bool()?;
@@ -755,7 +756,8 @@ impl ObjectStore {
             let has_journal = d.bool()?;
             if has_journal {
                 let nblocks = d.u32()?;
-                let mut blocks = Vec::with_capacity(nblocks as usize);
+                // Each block is 8 bytes: never preallocate past the payload.
+                let mut blocks = Vec::with_capacity((nblocks as usize).min(d.remaining() / 8));
                 for _ in 0..nblocks {
                     blocks.push(d.u64()?);
                 }
@@ -1953,7 +1955,7 @@ impl ObjectStore {
         // replay — a torn record or stale base surfaces here.
         self.verify_page("verify-materialized", oid, epoch, v.block, v.csum, &buf)?;
         self.redo_materializations += 1;
-        self.chain_hist[chain.len().min(self.chain_hist.len() - 1)] += 1;
+        self.chain_hist.record(chain.len() as u64);
         let trace = self.charge.trace();
         if trace.is_enabled() {
             trace.instant(
@@ -2266,27 +2268,10 @@ impl ObjectStore {
             redo_appended: self.redo_appended,
             redo_materializations: self.redo_materializations,
             redo_bytes_saved: self.redo_bytes_saved,
-            redo_chain_len_p95: Self::chain_p95(&self.chain_hist),
+            redo_chain_len_p95: self.chain_hist.percentile(95.0),
             redo_vcl: self.vcl,
             redo_vdl: self.vdl,
         }
-    }
-
-    /// 95th percentile of the materialization chain-length histogram.
-    fn chain_p95(hist: &[u64; 32]) -> u64 {
-        let total: u64 = hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = total - total / 20; // ceil(0.95 * total) for the discrete CDF
-        let mut cum = 0;
-        for (len, &n) in hist.iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                return len as u64;
-            }
-        }
-        31
     }
 
     /// Verifies the data checksum of every committed page version in the
@@ -2990,5 +2975,37 @@ mod tests {
         let mut s = s.crash_and_recover().unwrap();
         assert_eq!(s.cached_pages(), 0, "RAM does not survive a crash");
         assert_eq!(s.read_page(oid, 0, 1).unwrap(), page(9));
+    }
+
+    /// A commit-record payload holding one page-less object entry, with
+    /// a journal of `journal_blocks` claimed blocks (none encoded).
+    fn one_object_record(oid: u64, journal_blocks: Option<u32>) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u32(1); // objects
+        e.u64(oid);
+        e.u16(0); // kind
+        e.u64(0); // size
+        e.bool(false); // deleted
+        e.bool(false); // has meta
+        e.u32(0); // pages
+        e.bool(journal_blocks.is_some());
+        if let Some(n) = journal_blocks {
+            e.u32(n);
+        }
+        e.finish()
+    }
+
+    #[test]
+    fn commit_record_with_max_oid_is_corrupt() {
+        let mut s = fresh();
+        let rec = one_object_record(u64::MAX, None);
+        assert_eq!(s.apply_record(1, &rec), Err(StoreError::Corrupt("commit record oid")));
+    }
+
+    #[test]
+    fn commit_record_journal_count_cannot_force_a_huge_allocation() {
+        let mut s = fresh();
+        let rec = one_object_record(7, Some(u32::MAX));
+        assert!(matches!(s.apply_record(1, &rec), Err(StoreError::Codec(_))));
     }
 }

@@ -14,7 +14,6 @@
 //!   experiment harnesses (Memcached, RocksDB).
 //! * [`net`] — the latency/bandwidth/loss message fabric connecting
 //!   simulated nodes in multi-node (cluster) experiments.
-//! * [`stats`] — streaming histograms and percentile summaries.
 //! * [`codec`] — the hand-written, versioned binary codec used for every
 //!   on-disk record in the object store and for checkpoint serialization.
 //! * [`dist`] — deterministic workload distributions (Zipf, the Facebook
@@ -31,7 +30,6 @@ pub mod dist;
 pub mod hash;
 pub mod net;
 pub mod rng;
-pub mod stats;
 pub mod sync;
 pub mod units;
 
@@ -40,4 +38,3 @@ pub use codec::{Decoder, Encoder};
 pub use hash::{fnv1a, ContentHasher, Fnv1a};
 pub use cost::CostModel;
 pub use rng::{DetRng, Rng};
-pub use stats::Histogram;

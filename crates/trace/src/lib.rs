@@ -46,9 +46,6 @@ use std::sync::{Arc, Mutex};
 /// bench run evicts, small enough to bound a pathological run's memory.
 pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 
-/// Environment override for the event-ring capacity.
-pub const TRACE_CAP_ENV: &str = "AURORA_TRACE_CAP";
-
 /// Event kinds, mirroring the Chrome trace-event phases we emit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
@@ -79,74 +76,140 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-/// A log₂-bucketed histogram of `u64` samples (latencies, sizes).
+/// Sub-buckets per power of two. 32 gives ~3% relative error, plenty for
+/// latency percentiles; values below 32 get a bucket each and are exact.
+const SUBBUCKETS: usize = 32;
+const SUBBUCKET_BITS: u32 = 5;
+
+/// A log-linear (HDR-style) histogram of `u64` samples (latencies,
+/// sizes, chain lengths).
 ///
-/// Bucket `i` holds samples whose value has `i` significant bits, i.e.
-/// `v == 0` → bucket 0, otherwise bucket `64 - v.leading_zeros()`.
+/// Each power of two splits into 32 equal buckets, so a percentile is
+/// the midpoint of its bucket — within ~3% of the true sample — clamped
+/// to the recorded `[min, max]`.
+///
+/// # Examples
+///
+/// ```
+/// use aurora_trace::Histogram;
+///
+/// let mut h = Histogram::default();
+/// for v in 1..=1000u64 {
+///     h.record(v);
+/// }
+/// let p50 = h.percentile(50.0);
+/// assert!((450..=550).contains(&p50));
+/// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample (u64::MAX when empty).
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Log₂ buckets.
-    pub buckets: [u64; 65],
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
-        Self { count: 0, sum: 0, min: u64::MAX, max: 0, buckets: [0; 65] }
+        Self { buckets: Vec::new(), count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 }
 
-impl Histogram {
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
+fn bucket_index(v: u64) -> usize {
+    if v < SUBBUCKETS as u64 {
+        return v as usize;
     }
+    let msb = 63 - v.leading_zeros();
+    let shift = msb - SUBBUCKET_BITS;
+    let sub = ((v >> shift) as usize) & (SUBBUCKETS - 1);
+    // Buckets 0..SUBBUCKETS are exact; each further power of two
+    // contributes SUBBUCKETS buckets.
+    SUBBUCKETS + shift as usize * SUBBUCKETS + sub
+}
 
+fn bucket_value(index: usize) -> u64 {
+    if index < SUBBUCKETS {
+        return index as u64;
+    }
+    let rest = index - SUBBUCKETS;
+    let exp = (rest / SUBBUCKETS) as u32 + SUBBUCKET_BITS;
+    let sub = (rest % SUBBUCKETS) as u64;
+    // Midpoint of the bucket.
+    (1u64 << exp) + (sub << (exp - SUBBUCKET_BITS)) + (1u64 << (exp - SUBBUCKET_BITS)) / 2
+}
+
+impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
+        let idx = bucket_index(v);
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += 1;
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.buckets[Self::bucket_of(v)] += 1;
-    }
-
-    /// Mean sample, 0 when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Folds `other` into `self`, as if every sample recorded into
     /// `other` had been recorded here.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all samples.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Mean sample, rounded down; 0 when empty.
+    pub fn mean(&self) -> u64 {
+        self.sum.checked_div(self.count).unwrap_or(0)
+    }
+
+    /// Smallest sample; 0 when empty.
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
         }
     }
 
-    /// Upper bound of the bucket holding the `p`-th percentile
-    /// (`p` in 0..=100). A coarse estimate — within 2× of the true value
-    /// — which is enough for trend tracking.
-    pub fn percentile(&self, p: u64) -> u64 {
+    /// Largest sample; 0 when empty.
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// The `p`-th percentile (`p` in 0..=100); 0 when empty. The rank is
+    /// ⌈count·p/100⌉ (at least 1), computed in integer parts per million
+    /// so that p99.9 of 1000 samples is the 999th, not the 1000th.
+    pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let rank = (self.count * p.min(100)).div_ceil(100).max(1);
-        let mut seen = 0;
+        let ppm = (p.clamp(0.0, 100.0) * 10_000.0).round() as u128;
+        let rank = (u128::from(self.count) * ppm).div_ceil(1_000_000).max(1);
+        let mut seen = 0u128;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen += u128::from(n);
             if seen >= rank {
-                return if i == 0 { 0 } else { (1u64 << (i - 1)).saturating_mul(2) - 1 };
+                return bucket_value(i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -158,9 +221,6 @@ struct Inner {
     /// Bounded ring: oldest records are evicted once `cap` is reached.
     events: Mutex<VecDeque<TraceEvent>>,
     cap: usize,
-    /// True when `AURORA_TRACE_CAP` was set but unparsable, so `cap` is
-    /// the default rather than what the operator asked for.
-    cap_override_invalid: bool,
     dropped: AtomicU64,
     hists: Mutex<BTreeMap<String, Histogram>>,
     probes: ProbeSet,
@@ -192,45 +252,20 @@ impl Trace {
     }
 
     /// A recording handle stamping events with `now` (the virtual clock).
-    /// The event ring holds [`DEFAULT_TRACE_CAP`] records unless the
-    /// `AURORA_TRACE_CAP` environment variable overrides it. An override
-    /// that fails to parse is *not* swallowed silently: the handle falls
-    /// back to the default capacity, records a `trace.cap_invalid`
-    /// warning event, and reports the condition through
-    /// [`Trace::cap_override_invalid`] so it can be surfaced as a gauge.
+    /// The event ring holds [`DEFAULT_TRACE_CAP`] records.
     pub fn recording(now: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
-        let (cap, invalid) = match std::env::var(TRACE_CAP_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) => (n, false),
-                Err(_) => (DEFAULT_TRACE_CAP, true),
-            },
-            Err(_) => (DEFAULT_TRACE_CAP, false),
-        };
-        let t = Self::build(now, cap, invalid);
-        if invalid {
-            t.instant(
-                "trace",
-                "trace.cap_invalid",
-                &[("effective_cap", cap as u64)],
-            );
-        }
-        t
+        Self::recording_with_cap(now, DEFAULT_TRACE_CAP)
     }
 
     /// A recording handle with an explicit event-ring capacity (clamped
     /// to ≥ 1). Probes and histograms are unaffected by the cap: probes
     /// run before eviction, histograms aggregate in place.
     pub fn recording_with_cap(now: impl Fn() -> u64 + Send + Sync + 'static, cap: usize) -> Self {
-        Self::build(now, cap, false)
-    }
-
-    fn build(now: impl Fn() -> u64 + Send + Sync + 'static, cap: usize, invalid: bool) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 now: Box::new(now),
                 events: Mutex::new(VecDeque::new()),
                 cap: cap.max(1),
-                cap_override_invalid: invalid,
                 dropped: AtomicU64::new(0),
                 hists: Mutex::new(BTreeMap::new()),
                 probes: ProbeSet::default(),
@@ -362,12 +397,6 @@ impl Trace {
     /// The event ring's capacity (0 when disabled).
     pub fn capacity(&self) -> usize {
         self.inner.as_ref().map(|i| i.cap).unwrap_or(0)
-    }
-
-    /// True when `AURORA_TRACE_CAP` was set but unparsable and the ring
-    /// silently-no-more fell back to [`DEFAULT_TRACE_CAP`].
-    pub fn cap_override_invalid(&self) -> bool {
-        self.inner.as_ref().map(|i| i.cap_override_invalid).unwrap_or(false)
     }
 
     /// Records evicted from the ring since recording began.
@@ -538,15 +567,93 @@ mod tests {
         for v in [1u64, 2, 3, 4, 100, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count, 6);
-        assert_eq!(h.min, 1);
-        assert_eq!(h.max, 1000);
+        assert_eq!(h.count(), 6);
+        assert_eq!(h.min(), 1);
+        assert_eq!(h.max(), 1000);
         assert_eq!(h.mean(), 1110 / 6);
-        assert!(h.percentile(50) >= 3);
-        assert!(h.percentile(100) >= 1000);
+        assert!(h.percentile(50.0) >= 3);
+        assert!(h.percentile(100.0) >= 1000);
         let empty = Histogram::default();
-        assert_eq!(empty.percentile(99), 0);
+        assert_eq!(empty.percentile(99.0), 0);
         assert_eq!(empty.mean(), 0);
+    }
+
+    #[test]
+    fn bucket_roundtrip_small_values_exact() {
+        for v in 0..32u64 {
+            assert_eq!(bucket_value(bucket_index(v)), v);
+        }
+    }
+
+    #[test]
+    fn bucket_relative_error_bounded() {
+        for shift in 6..40u32 {
+            for off in [0u64, 1, 1234] {
+                let v = (1u64 << shift) + off * ((1 << shift) / 2000 + 1);
+                let rep = bucket_value(bucket_index(v));
+                let err = (rep as f64 - v as f64).abs() / v as f64;
+                assert!(err < 0.05, "v={v} rep={rep} err={err}");
+            }
+        }
+    }
+
+    #[test]
+    fn percentiles_are_ordered() {
+        let mut h = Histogram::default();
+        for v in (0..10_000u64).map(|i| i * 37 % 100_000) {
+            h.record(v);
+        }
+        let p50 = h.percentile(50.0);
+        let p95 = h.percentile(95.0);
+        let p999 = h.percentile(99.9);
+        assert!(p50 <= p95 && p95 <= p999);
+        assert!(p999 <= h.max());
+    }
+
+    #[test]
+    fn percentiles_resolve_within_three_percent() {
+        let mut h = Histogram::default();
+        for v in 1..=10_000u64 {
+            h.record(v);
+        }
+        for (p, want) in [(50.0, 5000.0), (95.0, 9500.0), (99.0, 9900.0)] {
+            let got = h.percentile(p) as f64;
+            assert!((got - want).abs() / want <= 0.03, "p{p}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn p999_rank_is_computed_exactly() {
+        let mut h = Histogram::default();
+        for _ in 0..999 {
+            h.record(10);
+        }
+        h.record(1_000_000);
+        assert_eq!(h.percentile(99.9), 10, "rank 999 of 1000, not 1000");
+        assert_eq!(h.percentile(100.0), 1_000_000);
+    }
+
+    #[test]
+    fn merge_combines_counts() {
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
+        a.record(10);
+        b.record(1_000_000);
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert_eq!(a.min(), 10);
+        assert!(a.max() >= 900_000);
+    }
+
+    #[test]
+    fn empty_histogram_is_sane() {
+        let h = Histogram::default();
+        assert_eq!(h.percentile(99.0), 0);
+        assert_eq!(h.mean(), 0);
+        assert_eq!(h.min(), 0);
+        let mut one = Histogram::default();
+        one.record(5);
+        assert_eq!(one.min(), 5, "default() starts min at u64::MAX");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 # Both directories hold BENCH_<name>.json reports (aurora-bench's --json
 # format). Only reports with a `histograms` block participate; a report
 # present in the snapshots but missing from the fresh run is an error
-# (a silently dropped benchmark must not pass the gate). Zero-valued
-# snapshot p95s (sub-resolution stages) only require the fresh run to
-# stay within the same lowest histogram bucket.
+# (a silently dropped benchmark must not pass the gate). A zero-valued
+# snapshot p95 (at least 95% of the samples were 0) requires the fresh
+# p95 to stay exactly 0.
 #
 # Refresh the snapshots after an intentional perf change:
 #   AURORA_BENCH_QUICK=1 cargo run --release -p aurora-bench --bin bench_all -- --out bench/snapshots
@@ -42,8 +42,9 @@ for snap in "$snap_dir"/BENCH_*.json; do
             continue
         fi
         checked=$((checked + 1))
-        # p95s are power-of-two histogram bucket upper bounds; a zero
-        # baseline means "fastest bucket" and the fresh run must stay there.
+        # p95s come from log-linear histograms: exact below 32, else a
+        # bucket midpoint within ~3% of the true sample. A zero baseline
+        # means at least 95% of samples were 0; the fresh run must keep it.
         if ! jq -ne --argjson b "$base" --argjson c "$cur" --argjson s "$slack" \
             'if $b == 0 then $c == 0 else $c <= $b * $s end' >/dev/null; then
             echo "GATE FAIL: $name: '$key' p95 ${cur}ns > ${slack}x snapshot ${base}ns" >&2
