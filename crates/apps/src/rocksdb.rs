@@ -229,8 +229,9 @@ impl RocksDb {
             store.create_object(oid, aurora_objstore::ObjectKind::File)?;
             let pages = bytes.div_ceil(4096);
             let zero = aurora_objstore::PageRef::zero();
+            // Page by page: one batch would coalesce the device writes.
             for pi in 0..pages {
-                store.write_page(oid, pi, &zero)?;
+                store.write_pages(oid, &[(pi, zero.clone())])?;
             }
             let info = store.commit()?;
             let _ = info;

@@ -150,7 +150,7 @@ fn bench_store() {
     use aurora_storage::testbed_array;
 
     bench_batched(
-        "store/write_page_commit_16p",
+        "store/write_pages_16x1p_commit",
         || {
             let clock = Clock::new();
             let dev = testbed_array(&clock, 1 << 26);
@@ -163,7 +163,7 @@ fn bench_store() {
         |(mut s, oid)| {
             let page = aurora_objstore::PageRef::detached([7u8; 4096]);
             for pi in 0..16 {
-                s.write_page(oid, pi, &page).unwrap();
+                s.write_pages(oid, &[(pi, page.clone())]).unwrap();
             }
             s.commit().unwrap().epoch
         },
@@ -193,7 +193,7 @@ fn bench_store() {
     let dev = testbed_array(&clock, 1 << 26);
     let mut s = ObjectStore::format(dev, Charge::new(clock, CostModel::default()), 1024).unwrap();
     let j = s.alloc_oid();
-    s.create_journal(j, 16 * 1024).unwrap();
+    s.create_journal(j, 4 * 1024).unwrap();
     let data = vec![3u8; 4000];
     bench_loop("store/journal_append_4k", || {
         if s.journal_stats(j).unwrap().used + 4100 > s.journal_stats(j).unwrap().capacity {

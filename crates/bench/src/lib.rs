@@ -14,6 +14,8 @@
 pub mod memcached_sim;
 pub mod suite;
 
+use std::collections::HashMap;
+
 /// True when `AURORA_BENCH_QUICK` asks for shrunken smoke-test sizes.
 pub fn quick() -> bool {
     std::env::var("AURORA_BENCH_QUICK").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
@@ -163,8 +165,40 @@ impl BenchReport {
     }
 }
 
+/// The first pair of metric groups that share at least one metric name
+/// and agree on every shared one: two variants the report compares but
+/// that measured the same thing.
+fn indistinct_groups(report: &BenchReport) -> Option<(&str, &str)> {
+    let mut groups: Vec<(&str, HashMap<&str, f64>)> = Vec::new();
+    for m in &report.metrics {
+        let i = match groups.iter().position(|(g, _)| *g == m.group) {
+            Some(i) => i,
+            None => {
+                groups.push((&m.group, HashMap::new()));
+                groups.len() - 1
+            }
+        };
+        groups[i].1.insert(&m.name, m.value);
+    }
+    for (i, (a, ma)) in groups.iter().enumerate() {
+        for (b, mb) in &groups[i + 1..] {
+            let mut shared = ma.iter().filter_map(|(n, v)| Some((v, mb.get(n)?))).peekable();
+            if shared.peek().is_some() && shared.all(|(x, y)| x == y) {
+                return Some((a, b));
+            }
+        }
+    }
+    None
+}
+
 /// Writes a report to `path` (the `--json` and `bench_all` export path).
+/// Panics if two of its metric groups are indistinguishable (see
+/// [`indistinct_groups`]): a comparison whose variants cannot differ
+/// measures nothing.
 pub fn write_report(report: &BenchReport, path: &str) {
+    if let Some((a, b)) = indistinct_groups(report) {
+        panic!("{}: metric groups '{a}' and '{b}' agree on every shared metric", report.name);
+    }
     std::fs::write(path, report.to_json())
         .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     eprintln!("wrote {path}");
@@ -262,6 +296,22 @@ mod tests {
         let s = mean_pm(&[1.0, 3.0], |v| format!("{v:.1}"));
         assert!(s.contains('±'), "{s}");
         assert_eq!(mean_pm(&[2.0], |v| format!("{v:.0}")), "2");
+    }
+
+    #[test]
+    fn indistinct_groups_are_caught() {
+        let mut r = BenchReport::new("t");
+        r.push("healthy", "ops", 1.0);
+        r.push("healthy", "ckpts", 3.0);
+        r.push("storm", "aborts", 2.0);
+        r.push("degraded", "ops", 1.0);
+        r.push("degraded", "ckpts", 3.0);
+        assert_eq!(indistinct_groups(&r), Some(("healthy", "degraded")));
+        // One differing shared metric tells the groups apart; groups
+        // sharing no metric name are never compared.
+        r.push("healthy", "p95", 8.0);
+        r.push("degraded", "p95", 9.0);
+        assert_eq!(indistinct_groups(&r), None);
     }
 
     #[test]

@@ -240,13 +240,8 @@ impl Cluster {
         gid: GroupId,
     ) -> Result<CheckpointStats, SlsError> {
         let stats = self.nodes[LEADER].sls.checkpoint_now(gid)?;
-        // The leader votes for itself at its own durable floor.
-        {
-            let store = self.nodes[LEADER].sls.store().clone();
-            let mut store = store.lock();
-            let floor = store.durable_floor(gid.0);
-            store.note_remote_ack(gid.0, LEADER as u64, stats.epoch, floor);
-        }
+        // The leader votes for itself.
+        self.nodes[LEADER].sls.store().lock().note_remote_ack(gid.0, LEADER as u64, stats.epoch);
         self.replicate(gid)?;
         self.refresh_release_gate(gid.0);
         self.update_gauges(gid.0);
@@ -405,7 +400,7 @@ impl Cluster {
                     .sls
                     .store()
                     .lock()
-                    .note_remote_ack(group, ev.src, epoch, durable_at);
+                    .note_remote_ack(group, ev.src, epoch);
                 self.refresh_release_gate(group);
                 self.update_gauges(group);
             }

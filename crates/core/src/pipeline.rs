@@ -9,10 +9,10 @@
 //! The pipeline is sharded by consistency group: a [`GroupRun`] is one
 //! group's checkpoint as a resumable state machine over four phases
 //! (Stop → Flush → Seal → Commit), every store mutation staged under
-//! the group's draft epoch. [`CheckpointPipeline`] drives one run to
-//! completion (the single-group path);
-//! [`scheduler::run`](crate::scheduler::run) interleaves many runs so
-//! group B can quiesce while group A's flush is still in flight.
+//! the group's draft epoch. [`scheduler::run`](crate::scheduler::run)
+//! is the one driver: it interleaves the runs of every due group so
+//! group B can quiesce while group A's flush is still in flight, and a
+//! single checkpoint is a schedule of one run.
 //!
 //! The Serialize and Flush stages dispatch through the
 //! [`SerializerRegistry`] — the pipeline knows *when* to serialize, the
@@ -177,9 +177,8 @@ impl GroupRun {
     /// Prepares a checkpoint run of `gid`: validates membership and
     /// records the group's backpressure horizon (Aurora waits for the
     /// previous checkpoint to fully persist before initiating another,
-    /// §7). The clock is *not* advanced here — the single-group driver
-    /// advances it immediately, a scheduler overlaps the wait with
-    /// other groups' phases.
+    /// §7). The clock is *not* advanced here — the scheduler overlaps
+    /// the wait with other groups' phases.
     pub fn new(sls: &mut Sls, gid: GroupId) -> Result<Self, SlsError> {
         let pids = sls.group_pids(gid)?;
         let persist: Vec<Pid> = pids
@@ -708,7 +707,7 @@ impl GroupRun {
             g.manifest,
             aurora_objstore::ObjectKind::Posix(crate::oidmap::tag::MANIFEST),
         )?;
-        store.set_meta(g.manifest, &serial::encode_manifest(&manifest))?;
+        store.set_meta_batch(&[(g.manifest, serial::encode_manifest(&manifest))])?;
         Ok(out)
     }
 
@@ -756,31 +755,5 @@ impl GroupRun {
             sls.extsync_sealed += 1;
         }
         Ok(info)
-    }
-}
-
-/// One checkpoint driven to completion, the single-group path: applies
-/// the backpressure wait immediately and steps the [`GroupRun`] through
-/// all four phases back-to-back.
-pub struct CheckpointPipeline<'a> {
-    sls: &'a mut Sls,
-    run: GroupRun,
-}
-
-impl<'a> CheckpointPipeline<'a> {
-    /// Prepares a checkpoint of `gid` and waits out the group's previous
-    /// checkpoint's durability (§7's backpressure).
-    pub fn new(sls: &'a mut Sls, gid: GroupId) -> Result<Self, SlsError> {
-        let run = GroupRun::new(sls, gid)?;
-        sls.kernel.charge.clock().advance_to(run.ready_at());
-        Ok(Self { sls, run })
-    }
-
-    /// Runs every phase in order and assembles the stats.
-    pub fn run(mut self) -> Result<CheckpointStats, SlsError> {
-        while !self.run.is_done() {
-            self.run.step(self.sls)?;
-        }
-        Ok(self.run.take_stats())
     }
 }

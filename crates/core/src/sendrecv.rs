@@ -283,7 +283,7 @@ fn apply_objects(
         let meta = body.bytes()?;
         store.create_object(oid, kind)?;
         if !meta.is_empty() {
-            store.set_meta(oid, meta)?;
+            store.set_meta_batch(&[(oid, meta.to_vec())])?;
         }
         // Per-page redo records, replayed onto the local copy of the
         // page (a receiver in sync through the stream's `from` epoch

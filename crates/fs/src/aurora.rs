@@ -59,11 +59,6 @@ impl AuroraFs {
         self.commits
     }
 
-    /// Overrides the checkpoint period.
-    pub fn set_period(&mut self, period_ns: u64) {
-        self.period_ns = period_ns;
-    }
-
     fn maybe_checkpoint(&mut self) -> Result<()> {
         let now = self.store.charge().clock().now();
         if now.saturating_sub(self.last_commit_ns) >= self.period_ns {
@@ -108,8 +103,11 @@ impl SimFs for AuroraFs {
         let first = offset / PAGE;
         let last = (offset + len).div_ceil(PAGE);
         let zero = aurora_objstore::PageRef::zero();
+        // Page by page: one batch would coalesce the device writes.
         for pi in first..last {
-            self.store.write_page(oid, pi, &zero).map_err(|e| FsError::Backend(e.to_string()))?;
+            self.store
+                .write_pages(oid, &[(pi, zero.clone())])
+                .map_err(|e| FsError::Backend(e.to_string()))?;
         }
         self.maybe_checkpoint()
     }

@@ -235,13 +235,13 @@ impl Explorer {
                     store.stage_for(self.groups[g]);
                     let oid = object(&mut store, &mut groups[g], obj);
                     let p = store.arena().alloc([fill; PAGE]);
-                    store.write_page(oid, pindex, &p).expect("write");
+                    store.write_pages(oid, &[(pindex, p)]).expect("write");
                     groups[g].live.pages.insert((obj, pindex), fill);
                 }
                 Op::SetMeta { g, obj, tag } => {
                     store.stage_for(self.groups[g]);
                     let oid = object(&mut store, &mut groups[g], obj);
-                    store.set_meta(oid, &[tag; 32]).expect("set_meta");
+                    store.set_meta_batch(&[(oid, vec![tag; 32])]).expect("set_meta_batch");
                     groups[g].live.metas.insert(obj, tag);
                 }
                 Op::Commit { g, wait } => {

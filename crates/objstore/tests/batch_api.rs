@@ -31,8 +31,8 @@ fn write_pages_matches_per_page_writes() {
 
     let mut a = fresh();
     let oa = mem_obj(&mut a);
-    for (pi, data) in &writes {
-        a.write_page(oa, *pi, data).unwrap();
+    for one in writes.chunks(1) {
+        a.write_pages(oa, one).unwrap();
     }
     let ea = a.commit().unwrap();
 

@@ -8,7 +8,6 @@
 //! (or that it never does); the caller owns the event queue that
 //! delivers it.
 
-use crate::des::Fifo;
 use crate::rng::{DetRng, Rng};
 use std::collections::HashMap;
 
@@ -49,7 +48,8 @@ pub struct FabricStats {
 #[derive(Debug)]
 pub struct Fabric {
     model: LinkModel,
-    links: HashMap<(u64, u64), Fifo>,
+    /// Per directed link `(src, dst)`: when the sender's NIC is next idle.
+    links: HashMap<(u64, u64), u64>,
     rng: DetRng,
     stats: FabricStats,
 }
@@ -71,7 +71,9 @@ impl Fabric {
     /// serialized before it vanishes).
     pub fn send(&mut self, src: u64, dst: u64, bytes: u64, now: u64) -> Option<u64> {
         let service = (bytes.div_ceil(1024)).max(1) * self.model.ns_per_kib;
-        let (_, serialized) = self.links.entry((src, dst)).or_default().serve(now, service);
+        let next_free = self.links.entry((src, dst)).or_default();
+        let serialized = now.max(*next_free) + service;
+        *next_free = serialized;
         self.stats.sent_msgs += 1;
         self.stats.sent_bytes += bytes;
         if self.model.loss_ppm > 0 && (self.rng.next_u64() % 1_000_000) < self.model.loss_ppm as u64 {
@@ -106,6 +108,16 @@ mod tests {
         assert_eq!(f.send(0, 1, 4096, 0), Some(1080));
         // The reverse direction is an independent link.
         assert_eq!(f.send(1, 0, 4096, 0), Some(1040));
+    }
+
+    #[test]
+    fn link_queues_back_to_back() {
+        let mut f = Fabric::new(LinkModel { latency_ns: 0, ns_per_kib: 10, loss_ppm: 0, seed: 1 });
+        assert_eq!(f.send(0, 1, 1024, 0), Some(10));
+        // Sent while the link is busy: waits for the first to serialize.
+        assert_eq!(f.send(0, 1, 1024, 5), Some(20));
+        // After an idle gap the link starts fresh at the send time.
+        assert_eq!(f.send(0, 1, 1024, 100), Some(110));
     }
 
     #[test]
