@@ -20,17 +20,15 @@ const NT_PRSTATUS: u32 = 1;
 /// ("AURA").
 const NT_AURORA_PROC: u32 = 0x4155_5241;
 
-/// Reads `[addr, addr+len)` of a space without faulting: missing or
-/// swapped pages read as zeros (they are holes in the dump).
+/// Reads `len` bytes of the mapping of `top` starting at page
+/// `offset_pages` without faulting: missing or swapped pages read as
+/// zeros (they are holes in the dump).
 fn read_region_nofault(
     sls: &Sls,
-    space: aurora_vm::SpaceId,
     top: ObjId,
     offset_pages: u64,
-    start: u64,
     len: u64,
 ) -> Result<Vec<u8>, SlsError> {
-    let _ = space;
     let mut out = vec![0u8; len as usize];
     let pages = len / PAGE_SIZE as u64;
     let chain = sls.kernel.vm.chain_of(top)?;
@@ -50,7 +48,6 @@ fn read_region_nofault(
             }
         }
     }
-    let _ = start;
     Ok(out)
 }
 
@@ -132,14 +129,7 @@ impl Sls {
         let headers_len = EHDR_SIZE + phnum * PHDR_SIZE;
         let mut segments: Vec<(u64, Vec<u8>)> = Vec::with_capacity(entries.len());
         for e in &entries {
-            let data = read_region_nofault(
-                self,
-                p.space,
-                e.object,
-                e.offset_pages,
-                e.start,
-                e.end - e.start,
-            )?;
+            let data = read_region_nofault(self, e.object, e.offset_pages, e.end - e.start)?;
             segments.push((e.start, data));
         }
 

@@ -43,7 +43,7 @@ pub mod world;
 pub use api::AuroraApi;
 pub use checkpoint::{CheckpointStats, Reach, StageFailure};
 pub use error::SlsError;
-pub use pipeline::{GroupRun, Phase, RetryPolicy};
+pub use pipeline::{GroupRun, Phase};
 pub use registry::{default_registry, KObjKind, Serializer, SerializerRegistry};
 pub use restore::RestoreMode;
 pub use sendrecv::{ApplyReport, DeltaStats};
@@ -110,49 +110,10 @@ impl Default for SlsOptions {
     }
 }
 
-/// World-level checkpoint engine configuration: retry/backoff policy
-/// for the device-facing stages, the per-group circuit breaker, and how
-/// hard degraded-mode stretches the checkpoint cadence. Defaults
-/// reproduce the engine's historical behavior exactly (fixed retry
-/// constants, no breaker, 4× cadence stretch under a degraded device).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CheckpointConfig {
-    /// Retry/backoff policy applied by every checkpoint run.
-    pub retry: RetryPolicy,
-    /// Consecutive failed checkpoints of one group before its circuit
-    /// breaker trips open, skipping that group's checkpoints (each skip
-    /// reported as a `StageFailure` with stage `"breaker"`) for
-    /// [`breaker_cooldown_ns`](CheckpointConfig::breaker_cooldown_ns).
-    /// `0` (the default) disables the breaker.
-    pub breaker_trip_failures: u32,
-    /// How long a tripped breaker stays open, in virtual ns.
-    pub breaker_cooldown_ns: u64,
-    /// Checkpoint write mode: sub-page redo records (the default) or
-    /// full page images per dirty page.
-    pub checkpoint_mode: CheckpointMode,
-    /// Largest contiguous changed span, in bytes, logged as a sub-page
-    /// redo delta; a wider diff (or a page with no resident parent-
-    /// shadow copy to diff against) falls back to a full-image record.
-    pub redo_delta_max: usize,
-    /// Multiplier applied to every group's checkpoint period by
-    /// [`Sls::tick`] while the device stack reports `Degraded` or worse:
-    /// fewer, wider epochs give a limping device room to drain. `1`
-    /// disables the stretch.
-    pub degraded_period_factor: u64,
-}
-
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        Self {
-            retry: RetryPolicy::default(),
-            breaker_trip_failures: 0,
-            breaker_cooldown_ns: 50 * MS,
-            checkpoint_mode: CheckpointMode::Delta,
-            redo_delta_max: 2048,
-            degraded_period_factor: 4,
-        }
-    }
-}
+/// Multiplier [`Sls::tick`] applies to every group's checkpoint period
+/// while the device stack reports `Degraded` or worse: fewer, wider
+/// epochs give a limping device room to drain.
+const DEGRADED_PERIOD_FACTOR: u64 = 4;
 
 /// How the checkpoint flush stage writes dirty pages (§15).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -164,17 +125,6 @@ pub enum CheckpointMode {
     /// changed span as a redo record — "the log is the database".
     #[default]
     Delta,
-}
-
-/// Per-group circuit-breaker state.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Breaker {
-    /// Failed checkpoints since the last success.
-    consecutive_failures: u32,
-    /// Virtual time until which the breaker is open (0 = closed).
-    open_until: u64,
-    /// Times this group's breaker has tripped.
-    trips: u64,
 }
 
 /// One sealed batch of outbound messages awaiting its checkpoint.
@@ -242,13 +192,9 @@ pub struct Sls {
     /// External-synchrony batches sealed / released since boot.
     pub(crate) extsync_sealed: u64,
     pub(crate) extsync_released: u64,
-    /// Checkpoint engine configuration (retry policy, breaker, degraded
-    /// cadence). Mutate via [`Sls::set_checkpoint_config`] before
-    /// checkpoints run; runs in flight keep the policy they started
-    /// with.
-    pub config: CheckpointConfig,
-    /// Per-group circuit breakers (empty until a failure is noted).
-    pub(crate) breakers: HashMap<u64, Breaker>,
+    /// Checkpoint write mode: sub-page redo records (the default) or
+    /// full page images per dirty page. Read when a flush starts.
+    pub checkpoint_mode: CheckpointMode,
     /// Retries spent by all checkpoint runs since boot (gauge source).
     pub(crate) retries_spent_total: u64,
     /// Cluster release gate: when set, external synchrony holds sealed
@@ -298,8 +244,7 @@ impl Sls {
             checkpoints_taken: 0,
             extsync_sealed: 0,
             extsync_released: 0,
-            config: CheckpointConfig::default(),
-            breakers: HashMap::new(),
+            checkpoint_mode: CheckpointMode::default(),
             retries_spent_total: 0,
             release_gate: None,
             cluster_gauges: HashMap::new(),
@@ -352,12 +297,6 @@ impl Sls {
         self.cluster_gauges = gauges.into_iter().collect();
     }
 
-    /// Replaces the checkpoint engine configuration. Takes effect for
-    /// the next checkpoint run of every group.
-    pub fn set_checkpoint_config(&mut self, config: CheckpointConfig) {
-        self.config = config;
-    }
-
     /// The device stack's aggregated health report: per-member states
     /// plus failover/rebuild counters for a mirrored array, the default
     /// (no members, healthy) for everything else.
@@ -370,79 +309,6 @@ impl Sls {
     /// throttle on. `Suspect` alone does not throttle.
     pub fn device_degraded(&self) -> bool {
         self.device_health().is_degraded()
-    }
-
-    /// If `gid`'s circuit breaker is open at the current virtual time,
-    /// synthesizes the skip's stats (a `StageFailure` with stage
-    /// `"breaker"` and a [`SlsError::BreakerOpen`] cause) without
-    /// running any pipeline stage. `None` means the breaker is closed
-    /// and the checkpoint should run.
-    pub(crate) fn breaker_short_circuit(&mut self, gid: GroupId) -> Option<CheckpointStats> {
-        let now = self.kernel.charge.clock().now();
-        let b = self.breakers.get(&gid.0)?;
-        if now >= b.open_until {
-            return None;
-        }
-        let until = b.open_until;
-        let trace = self.kernel.charge.trace();
-        if trace.is_enabled() {
-            trace.instant(
-                "pipeline",
-                "pipeline.breaker_skip",
-                &[("group", gid.0), ("until_ns", until)],
-            );
-        }
-        Some(CheckpointStats {
-            group: gid.0,
-            failure: Some(StageFailure {
-                stage: "breaker",
-                group: gid.0,
-                attempts: 0,
-                cause: SlsError::BreakerOpen { group: gid.0, until_ns: until },
-            }),
-            ..CheckpointStats::default()
-        })
-    }
-
-    /// Feeds a finished checkpoint run into the retry accounting and
-    /// the group's circuit breaker: failures accumulate toward a trip,
-    /// a success (or a cooldown expiry) resets the streak. Synthesized
-    /// breaker skips don't feed back — an open breaker must not re-trip
-    /// itself.
-    pub(crate) fn note_checkpoint_outcome(&mut self, stats: &CheckpointStats) {
-        self.retries_spent_total += stats.retries as u64;
-        match &stats.failure {
-            Some(f) if f.stage == "breaker" => {}
-            Some(_) => {
-                if self.config.breaker_trip_failures == 0 {
-                    return;
-                }
-                let now = self.kernel.charge.clock().now();
-                let cooldown = self.config.breaker_cooldown_ns;
-                let trip_at = self.config.breaker_trip_failures;
-                let b = self.breakers.entry(stats.group).or_default();
-                b.consecutive_failures += 1;
-                if b.consecutive_failures >= trip_at {
-                    b.consecutive_failures = 0;
-                    b.open_until = now + cooldown;
-                    b.trips += 1;
-                    let trace = self.kernel.charge.trace();
-                    if trace.is_enabled() {
-                        trace.instant(
-                            "pipeline",
-                            "pipeline.breaker_trip",
-                            &[("group", stats.group), ("until_ns", now + cooldown)],
-                        );
-                    }
-                }
-            }
-            None => {
-                if let Some(b) = self.breakers.get_mut(&stats.group) {
-                    b.consecutive_failures = 0;
-                    b.open_until = 0;
-                }
-            }
-        }
     }
 
     /// The serializer registry this instance dispatches through.
@@ -550,13 +416,6 @@ impl Sls {
         }
         for (i, state) in health.member_states.iter().enumerate() {
             v.push((format!("device.health.m{i}"), state.code()));
-        }
-        {
-            let now = self.kernel.charge.clock().now();
-            let open = self.breakers.values().filter(|b| b.open_until > now).count() as u64;
-            let trips: u64 = self.breakers.values().map(|b| b.trips).sum();
-            v.push(("pipeline.breaker.open".into(), open));
-            v.push(("pipeline.breaker.trips".into(), trips));
         }
         if let Some(s) = &self.last_stats {
             v.push(("retry.budget.last_run".into(), s.retries as u64));
@@ -692,11 +551,7 @@ impl Sls {
         // a degraded member, every group's effective period widens so
         // the limping device sees fewer, wider epochs. Recovery restores
         // the configured cadence on the very next tick.
-        let factor = if self.config.degraded_period_factor > 1 && self.device_degraded() {
-            self.config.degraded_period_factor
-        } else {
-            1
-        };
+        let factor = if self.device_degraded() { DEGRADED_PERIOD_FACTOR } else { 1 };
         let mut due: Vec<GroupId> = self
             .groups
             .values()
@@ -724,40 +579,13 @@ impl Sls {
         if gids.is_empty() {
             return Ok(Vec::new());
         }
-        // Open breakers short-circuit before the scheduler sees the
-        // group; the skipped groups still get (failed) stats entries.
-        let mut skipped: HashMap<u64, CheckpointStats> = HashMap::new();
-        let mut runnable: Vec<GroupId> = Vec::with_capacity(gids.len());
-        for &gid in gids {
-            match self.breaker_short_circuit(gid) {
-                Some(stats) => {
-                    skipped.insert(gid.0, stats);
-                }
-                None => runnable.push(gid),
-            }
-        }
-        let ran = if runnable.is_empty() {
-            Vec::new()
-        } else {
-            scheduler::run(self, &runnable)?
-        };
-        for stats in &ran {
-            self.note_checkpoint_outcome(stats);
-        }
-        let mut by_group: HashMap<u64, CheckpointStats> =
-            ran.into_iter().map(|s| (s.group, s)).collect();
-        let mut all = Vec::with_capacity(gids.len());
-        for &gid in gids {
-            let Some(stats) = skipped.remove(&gid.0).or_else(|| by_group.remove(&gid.0)) else {
-                continue;
-            };
-            if stats.failure.as_ref().map(|f| f.stage) != Some("breaker") {
-                self.checkpoints_taken += 1;
-            }
+        let all = scheduler::run(self, gids)?;
+        for stats in &all {
+            self.retries_spent_total += stats.retries as u64;
+            self.checkpoints_taken += 1;
             self.last_stats_by_group.insert(stats.group, stats.clone());
-            self.last_stats = Some(stats.clone());
-            all.push(stats);
         }
+        self.last_stats = all.last().cloned();
         self.sample_metrics();
         Ok(all)
     }

@@ -105,8 +105,8 @@ pub struct FlushCtx<'a> {
     /// their "durable" copies die with the rolled-back epoch.
     pub cleaned: Vec<(aurora_vm::ObjId, u64)>,
     /// Delta-checkpoint policy: `None` flushes full page images; `Some`
-    /// emits sub-page redo records with the contained payload cap (see
-    /// [`CheckpointConfig::redo_delta_max`](crate::CheckpointConfig)).
+    /// emits sub-page redo records with the contained payload cap (the
+    /// pipeline's `REDO_DELTA_MAX`, 2 KiB).
     pub redo_delta_max: Option<usize>,
     /// Lineage bindings at flush time: a restored branch's floor/resume
     /// pin its redo chains to branch-visible versions.

@@ -10,6 +10,7 @@ use aurora_storage::faulty::{FaultHandle, FaultPlan};
 use aurora_storage::raid1::MirrorHandle;
 use aurora_storage::{
     faulty_testbed_array, mirrored_testbed_array, nand_testbed_array, testbed_array,
+    SharedDevice,
 };
 use aurora_vm::{Prot, PAGE_SIZE};
 
@@ -39,12 +40,8 @@ impl World {
     /// timeline: every node's kernel, store, and device stack charge the
     /// same clock, so cross-node message timings compose with local I/O.
     pub fn with_store_bytes_on(clock: Clock, bytes: u64) -> Self {
-        let model = CostModel::default();
-        let kernel = Kernel::new(clock.clone(), model.clone());
         let dev = testbed_array(&clock, bytes);
-        let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
-            .expect("format fresh store");
-        Self { sls: Sls::new(kernel, store), clock }
+        Self::boot(clock, dev)
     }
 
     /// Boots with `bytes` per TLC-NAND store device
@@ -52,12 +49,8 @@ impl World {
     /// storage profile the checkpoint scheduler benchmarks run against.
     pub fn with_nand_store_bytes(bytes: u64) -> Self {
         let clock = Clock::new();
-        let model = CostModel::default();
-        let kernel = Kernel::new(clock.clone(), model.clone());
         let dev = nand_testbed_array(&clock, bytes);
-        let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
-            .expect("format fresh store");
-        Self { sls: Sls::new(kernel, store), clock }
+        Self::boot(clock, dev)
     }
 
     /// Boots with `bytes` per store device behind a fault-injecting
@@ -65,12 +58,8 @@ impl World {
     /// fault plan (crash-recovery and degraded-mode tests).
     pub fn with_faulty_store(bytes: u64, plan: FaultPlan) -> (Self, FaultHandle) {
         let clock = Clock::new();
-        let model = CostModel::default();
-        let kernel = Kernel::new(clock.clone(), model.clone());
         let (dev, handle) = faulty_testbed_array(&clock, bytes, plan);
-        let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
-            .expect("format fresh store");
-        (Self { sls: Sls::new(kernel, store), clock }, handle)
+        (Self::boot(clock, dev), handle)
     }
 
     /// Boots the degraded-mode testbed: a two-way mirror whose members
@@ -80,12 +69,18 @@ impl World {
     /// handle per mirror for storm injection.
     pub fn with_mirrored_store(bytes: u64) -> (Self, MirrorHandle, Vec<FaultHandle>) {
         let clock = Clock::new();
+        let (dev, mirror, faults) = mirrored_testbed_array(&clock, bytes);
+        (Self::boot(clock, dev), mirror, faults)
+    }
+
+    /// Boots a kernel and a freshly formatted store on `dev`, both
+    /// charging `clock` with the default cost calibration.
+    fn boot(clock: Clock, dev: SharedDevice) -> Self {
         let model = CostModel::default();
         let kernel = Kernel::new(clock.clone(), model.clone());
-        let (dev, mirror, faults) = mirrored_testbed_array(&clock, bytes);
         let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
             .expect("format fresh store");
-        (Self { sls: Sls::new(kernel, store), clock }, mirror, faults)
+        Self { sls: Sls::new(kernel, store), clock }
     }
 
     /// Turns on tracing for the whole machine, stamping every event with

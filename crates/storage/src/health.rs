@@ -65,41 +65,23 @@ impl HealthState {
     }
 }
 
-/// Thresholds driving the [`DeviceHealth`] state machine.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthPolicy {
-    /// Consecutive transient errors promoting `Healthy` to `Suspect`.
-    pub suspect_errors: u32,
-    /// Consecutive transient errors promoting to `Degraded`.
-    pub degraded_errors: u32,
-    /// Fatal (non-transient) errors tolerated before `Failed`; each
-    /// fatal error lands the member in at least `Degraded` immediately.
-    pub failed_errors: u32,
-    /// Consecutive clean operations that heal `Suspect` back to
-    /// `Healthy`.
-    pub recover_oks: u32,
-    /// Queue depth at which a member counts as lagging (latency signal):
-    /// a `Healthy` member at or past this depth becomes `Suspect`.
-    pub queue_suspect_depth: u64,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        Self {
-            suspect_errors: 1,
-            degraded_errors: 3,
-            failed_errors: 2,
-            recover_oks: 16,
-            queue_suspect_depth: 1 << 16,
-        }
-    }
-}
+/// Consecutive transient errors promoting `Healthy` to `Suspect`.
+const SUSPECT_ERRORS: u32 = 1;
+/// Consecutive transient errors promoting to `Degraded`.
+const DEGRADED_ERRORS: u32 = 3;
+/// Fatal (non-transient) errors tolerated before `Failed`; each fatal
+/// error lands the member in at least `Degraded` immediately.
+const FAILED_ERRORS: u32 = 2;
+/// Consecutive clean operations that heal `Suspect` back to `Healthy`.
+const RECOVER_OKS: u32 = 16;
+/// Queue depth at which a member counts as lagging (latency signal): a
+/// `Healthy` member at or past this depth becomes `Suspect`.
+const QUEUE_SUSPECT_DEPTH: u64 = 1 << 16;
 
 /// The per-device health state machine. See the module docs.
 #[derive(Clone, Debug)]
 pub struct DeviceHealth {
     member: u64,
-    policy: HealthPolicy,
     state: HealthState,
     consecutive_transient: u32,
     fatal_errors: u32,
@@ -111,10 +93,9 @@ pub struct DeviceHealth {
 
 impl DeviceHealth {
     /// A healthy tracker for array member `member`.
-    pub fn new(member: u64, policy: HealthPolicy) -> Self {
+    pub fn new(member: u64) -> Self {
         Self {
             member,
-            policy,
             state: HealthState::Healthy,
             consecutive_transient: 0,
             fatal_errors: 0,
@@ -177,14 +158,14 @@ impl DeviceHealth {
         self.ok_streak = 0;
         if transient {
             self.consecutive_transient += 1;
-            if self.consecutive_transient >= self.policy.degraded_errors {
+            if self.consecutive_transient >= DEGRADED_ERRORS {
                 self.promote(HealthState::Degraded);
-            } else if self.consecutive_transient >= self.policy.suspect_errors {
+            } else if self.consecutive_transient >= SUSPECT_ERRORS {
                 self.promote(HealthState::Suspect);
             }
         } else {
             self.fatal_errors += 1;
-            if self.fatal_errors >= self.policy.failed_errors {
+            if self.fatal_errors >= FAILED_ERRORS {
                 self.promote(HealthState::Failed);
             } else {
                 self.promote(HealthState::Degraded);
@@ -197,7 +178,7 @@ impl DeviceHealth {
     pub fn record_ok(&mut self) {
         self.consecutive_transient = 0;
         self.ok_streak = self.ok_streak.saturating_add(1);
-        if self.state == HealthState::Suspect && self.ok_streak >= self.policy.recover_oks {
+        if self.state == HealthState::Suspect && self.ok_streak >= RECOVER_OKS {
             self.transition(HealthState::Healthy);
         }
     }
@@ -205,7 +186,7 @@ impl DeviceHealth {
     /// Feeds a queue-depth observation (the latency signal from
     /// [`QueueStats`](crate::device::QueueStats)).
     pub fn observe_queue(&mut self, depth: u64) {
-        if depth >= self.policy.queue_suspect_depth && self.state == HealthState::Healthy {
+        if depth >= QUEUE_SUSPECT_DEPTH && self.state == HealthState::Healthy {
             self.latency_trips += 1;
             self.promote(HealthState::Suspect);
         }
@@ -281,7 +262,7 @@ mod tests {
 
     #[test]
     fn transient_errors_climb_the_ladder() {
-        let mut h = DeviceHealth::new(0, HealthPolicy::default());
+        let mut h = DeviceHealth::new(0);
         assert_eq!(h.state(), HealthState::Healthy);
         h.record_error(true);
         assert_eq!(h.state(), HealthState::Suspect);
@@ -292,11 +273,10 @@ mod tests {
 
     #[test]
     fn clean_streak_heals_suspect_but_not_degraded() {
-        let p = HealthPolicy { recover_oks: 3, ..HealthPolicy::default() };
-        let mut h = DeviceHealth::new(0, p);
+        let mut h = DeviceHealth::new(0);
         h.record_error(true);
         assert_eq!(h.state(), HealthState::Suspect);
-        for _ in 0..3 {
+        for _ in 0..RECOVER_OKS {
             h.record_ok();
         }
         assert_eq!(h.state(), HealthState::Healthy);
@@ -315,7 +295,7 @@ mod tests {
 
     #[test]
     fn fatal_errors_jump_to_degraded_then_failed() {
-        let mut h = DeviceHealth::new(0, HealthPolicy::default());
+        let mut h = DeviceHealth::new(0);
         h.record_error(false);
         assert_eq!(h.state(), HealthState::Degraded);
         h.record_error(false);
@@ -324,18 +304,17 @@ mod tests {
 
     #[test]
     fn queue_depth_is_a_latency_signal() {
-        let p = HealthPolicy { queue_suspect_depth: 8, ..HealthPolicy::default() };
-        let mut h = DeviceHealth::new(0, p);
-        h.observe_queue(7);
+        let mut h = DeviceHealth::new(0);
+        h.observe_queue(QUEUE_SUSPECT_DEPTH - 1);
         assert_eq!(h.state(), HealthState::Healthy);
-        h.observe_queue(8);
+        h.observe_queue(QUEUE_SUSPECT_DEPTH);
         assert_eq!(h.state(), HealthState::Suspect);
         assert_eq!(h.latency_trips(), 1);
     }
 
     #[test]
     fn revive_lands_in_degraded_not_healthy() {
-        let mut h = DeviceHealth::new(0, HealthPolicy::default());
+        let mut h = DeviceHealth::new(0);
         h.force_fail();
         assert_eq!(h.state(), HealthState::Failed);
         h.revive();
@@ -345,7 +324,7 @@ mod tests {
     #[test]
     fn transitions_emit_trace_instants() {
         let t = Trace::recording(|| 0);
-        let mut h = DeviceHealth::new(2, HealthPolicy::default());
+        let mut h = DeviceHealth::new(2);
         h.set_trace(t.clone());
         h.record_error(true);
         h.force_fail();

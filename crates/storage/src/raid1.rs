@@ -20,7 +20,7 @@
 //! [`Failed`]: HealthState::Failed
 
 use crate::device::{BlockDevice, Completion, DeviceError, QueueStats, Result, SharedDevice};
-use crate::health::{DeviceHealth, HealthPolicy, HealthReport, HealthState};
+use crate::health::{DeviceHealth, HealthReport, HealthState};
 use aurora_sim::sync::Mutex;
 use aurora_sim::Clock;
 use aurora_trace::Trace;
@@ -104,10 +104,7 @@ impl Raid1 {
     ///
     /// Returns [`DeviceError::BadConfig`] for fewer than two members or
     /// heterogeneous geometry.
-    pub fn new(
-        members: Vec<Box<dyn BlockDevice + Send>>,
-        policy: HealthPolicy,
-    ) -> Result<(Self, MirrorHandle)> {
+    pub fn new(members: Vec<Box<dyn BlockDevice + Send>>) -> Result<(Self, MirrorHandle)> {
         if members.len() < 2 {
             return Err(DeviceError::BadConfig { reason: "raid1 needs at least two mirrors" });
         }
@@ -124,7 +121,7 @@ impl Raid1 {
         }
         let n = members.len();
         let state = Arc::new(Mutex::new(MirrorState {
-            health: (0..n).map(|i| DeviceHealth::new(i as u64, policy)).collect(),
+            health: (0..n).map(|i| DeviceHealth::new(i as u64)).collect(),
             dirty: vec![BTreeSet::new(); n],
             written: BTreeSet::new(),
             read_fallbacks: 0,
@@ -668,8 +665,7 @@ mod tests {
 
     fn mirror() -> (Raid1, MirrorHandle) {
         let clock = Clock::new();
-        Raid1::new(vec![plain_member(&clock), plain_member(&clock)], HealthPolicy::default())
-            .unwrap()
+        Raid1::new(vec![plain_member(&clock), plain_member(&clock)]).unwrap()
     }
 
     fn faulty_mirror() -> (Raid1, MirrorHandle, Vec<crate::faulty::FaultHandle>) {
@@ -681,14 +677,14 @@ mod tests {
             members.push(Box::new(f));
             handles.push(h);
         }
-        let (r, mh) = Raid1::new(members, HealthPolicy::default()).unwrap();
+        let (r, mh) = Raid1::new(members).unwrap();
         (r, mh, handles)
     }
 
     #[test]
     fn constructor_rejects_bad_configs() {
         let clock = Clock::new();
-        let err = Raid1::new(vec![plain_member(&clock)], HealthPolicy::default())
+        let err = Raid1::new(vec![plain_member(&clock)])
             .err()
             .expect("one mirror is not a mirror");
         assert!(matches!(err, DeviceError::BadConfig { .. }));
@@ -696,7 +692,7 @@ mod tests {
         let a = plain_member(&clock);
         let b: Box<dyn BlockDevice + Send> =
             Box::new(NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), 1 << 25));
-        let err = Raid1::new(vec![a, b], HealthPolicy::default())
+        let err = Raid1::new(vec![a, b])
             .err()
             .expect("mixed capacities must fail");
         assert!(matches!(err, DeviceError::BadConfig { .. }));
